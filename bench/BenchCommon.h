@@ -244,6 +244,21 @@ private:
   std::vector<JsonRow> Rows;
 };
 
+/// The host's CPU model (the first `model name` of /proc/cpuinfo), for
+/// stamping wall-clock BENCH files with the machine they came from;
+/// "unknown" where that file is absent.
+inline std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Colon = Line.find(':');
+      if (Colon != std::string::npos && Colon + 2 <= Line.size())
+        return Line.substr(Colon + 2);
+    }
+  return "unknown";
+}
+
 } // namespace bench
 } // namespace janus
 

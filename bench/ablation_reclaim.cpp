@@ -13,7 +13,7 @@
 
 #include "BenchCommon.h"
 
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Format.h"
 
 #include <chrono>
@@ -33,7 +33,8 @@ Result runOnce(bool Reclaim, int NumTasks) {
   ObjectRegistry Reg;
   ObjectId Obj = Reg.registerObject("work");
   WriteSetDetector D;
-  ThreadedRuntime R(Reg, D, ThreadedConfig{4, false, Reclaim});
+  ShardedRuntime R(Reg, D,
+                   ShardedConfig{.NumThreads = 4, .ReclaimLogs = Reclaim});
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != NumTasks; ++I)
     Tasks.push_back([Obj](TxContext &Tx) { Tx.add(Location(Obj), 1); });

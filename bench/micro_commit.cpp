@@ -2,35 +2,22 @@
 ///
 /// \file
 /// Commit-path microbenchmark: begin/commit throughput of the threaded
-/// runtime against a faithful replica of the coarse-locked design it
-/// replaced.
+/// engine (stm::ShardedRuntime), per scenario, detector, thread count
+/// and shard count.
 ///
-/// The pre-refactor `ThreadedRuntime` funneled every CREATETRANSACTION
-/// through a `std::shared_mutex` read-lock (plus an O(n) mutex-guarded
-/// ActiveBegins list), copied the conflict-history window per
-/// validation round, and replayed the log *inside* the exclusive
-/// section. `CoarseRuntime` below reproduces that hot path verbatim so
-/// the comparison stays meaningful on any machine, independent of git
-/// history. The scalable runtime publishes snapshots via one atomic
-/// pointer, borrows the history window from the segmented log, and
-/// pre-replays outside the commit mutex.
-///
-/// Scenarios:
+/// Scenarios (one shard, the engine's default):
 ///   empty      — tasks log nothing: pure begin/commit overhead.
 ///   disjoint   — each task writes its own array slot: non-empty logs,
 ///                no conflicts, real replay + detection work.
 ///   contended  — every task Adds to one counter: retry behaviour
 ///                under maximal data contention.
 ///   ordered    — in-order commits (the paper's sequential-semantics
-///                mode); each task yields once mid-body so transactions
+///                mode); each task yields mid-body so transactions
 ///                genuinely overlap even when the machine has fewer
-///                cores than workers. The pre-refactor runtime
-///                broadcast every commit to all waiting workers
-///                (O(threads) futile futex wakeups per commit); the
-///                scalable pipeline hands the turn to exactly the
-///                successor.
-/// Sharded-pipeline scenarios (ShardedRuntime shard-count sweep; tasks
-/// yield mid-body so attempts genuinely overlap even on few cores —
+///                cores than workers. Each committer hands the turn to
+///                exactly its successor.
+/// Shard-count sweep scenarios (1, 4 and 16 shards; tasks yield
+/// mid-body so attempts genuinely overlap even on few cores —
 /// what the sweep varies is the *algorithmic* detection/validation
 /// work per commit, which is what sharding removes):
 ///   disjoint-shard — every task writes several slots that all hash
@@ -44,7 +31,8 @@
 /// the online fallback so commutative Adds actually commute).
 ///
 /// `--json` / `--json-out=PATH` emit BENCH_micro_commit.json rows
-/// (median-of-N ns per committed transaction, commit/retry counts);
+/// (median-of-N ns per committed transaction, commit/retry counts),
+/// stamped with the host's CPU count and model;
 /// `--quick` shrinks reps/tasks for the CI perf smoke, which gates on
 /// "ran to completion", not on numbers.
 ///
@@ -54,184 +42,16 @@
 
 #include "janus/conflict/SequenceDetector.h"
 #include "janus/stm/ShardedRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
-#include <shared_mutex>
 #include <thread>
 
 using namespace janus;
 using namespace janus::stm;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// The pre-refactor runtime, preserved as the comparison baseline.
-// ---------------------------------------------------------------------------
-
-/// Figure 7 on one global shared_mutex: begins take it shared, commits
-/// take it exclusively and replay inside; the conflict-history window
-/// is re-copied from a vector every validation round.
-class CoarseRuntime {
-public:
-  CoarseRuntime(const ObjectRegistry &Reg, ConflictDetector &Detector,
-                unsigned NumThreads, bool Reclaim, bool Ordered)
-      : Reg(Reg), Detector(Detector), NumThreads(NumThreads),
-        Reclaim(Reclaim), Ordered(Ordered) {}
-
-  void run(const std::vector<TaskFn> &Tasks) {
-    OrderBase.store(Clock.load(std::memory_order_acquire) - 1,
-                    std::memory_order_release);
-    std::atomic<size_t> NextTask{0};
-    auto Worker = [this, &Tasks, &NextTask]() {
-      while (true) {
-        size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
-        if (Idx >= Tasks.size())
-          return;
-        uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-        while (!runTask(Tasks[Idx], Tid))
-          ++Stats.Retries;
-        ++Stats.Commits;
-      }
-    };
-    unsigned N = std::min<unsigned>(NumThreads,
-                                    std::max<size_t>(Tasks.size(), 1));
-    if (N <= 1) {
-      Worker();
-    } else {
-      std::vector<std::thread> Threads;
-      Threads.reserve(N);
-      for (unsigned I = 0; I != N; ++I)
-        Threads.emplace_back(Worker);
-      for (std::thread &T : Threads)
-        T.join();
-    }
-  }
-
-  Snapshot sharedState() const { return Shared; }
-  RunStats &stats() { return Stats; }
-
-private:
-  struct CommittedRecord {
-    uint64_t CommitTime;
-    TxLogRef Log;
-  };
-
-  std::vector<TxLogRef> committedHistory(uint64_t Begin, uint64_t Now) const {
-    std::vector<TxLogRef> Out;
-    auto Lo = std::lower_bound(History.begin(), History.end(), Begin + 1,
-                               [](const CommittedRecord &R, uint64_t T) {
-                                 return R.CommitTime < T;
-                               });
-    for (auto It = Lo; It != History.end() && It->CommitTime <= Now; ++It)
-      Out.push_back(It->Log);
-    return Out;
-  }
-
-  bool runTask(const TaskFn &Task, uint32_t Tid) {
-    uint64_t Begin;
-    Snapshot Entry;
-    {
-      std::shared_lock<std::shared_mutex> Guard(Lock);
-      Begin = Clock.load(std::memory_order_acquire);
-      Entry = Shared;
-      std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-      ActiveBegins.push_back(Begin);
-    }
-
-    TxContext Tx(Entry, Tid, Reg, &Stats);
-    Task(Tx);
-    Tx.endAttempt();
-    TxLogRef Log = std::make_shared<const TxLog>(Tx.log());
-
-    auto RemoveActive = [this, Begin]() {
-      std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-      auto It = std::find(ActiveBegins.begin(), ActiveBegins.end(), Begin);
-      ActiveBegins.erase(It);
-    };
-
-    // The pre-refactor turn-taking: one global condition variable,
-    // broadcast on every commit, every waiter re-checks its predicate.
-    if (Ordered) {
-      uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
-      std::unique_lock<std::mutex> Guard(OrderMutex);
-      OrderCv.wait(Guard, [this, Target]() {
-        return Clock.load(std::memory_order_acquire) >= Target;
-      });
-    }
-
-    while (true) {
-      uint64_t Now = Clock.load(std::memory_order_acquire);
-      std::vector<TxLogRef> OpsC;
-      {
-        std::shared_lock<std::shared_mutex> Guard(Lock);
-        OpsC = committedHistory(Begin, Now);
-      }
-      ++Stats.ConflictChecks;
-      if (Detector.detectConflicts(Entry, *Log, OpsC, Reg)) {
-        RemoveActive();
-        return false;
-      }
-      {
-        std::unique_lock<std::shared_mutex> Guard(Lock);
-        uint64_t Current = Clock.load(std::memory_order_acquire);
-        if (Current != Now) {
-          ++Stats.ValidationFailures;
-          continue;
-        }
-        uint64_t CommitTime = Current + 1;
-        Clock.store(CommitTime, std::memory_order_release);
-        for (const LogEntry &E : *Log)
-          Shared = applyToSnapshot(Shared, E.Loc, E.Op);
-        History.push_back(CommittedRecord{CommitTime, Log});
-        RemoveActive();
-        if (Reclaim) {
-          uint64_t MinBegin = CommitTime;
-          {
-            std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-            for (uint64_t B : ActiveBegins)
-              MinBegin = std::min(MinBegin, B);
-          }
-          auto Keep = std::lower_bound(
-              History.begin(), History.end(), MinBegin + 1,
-              [](const CommittedRecord &R, uint64_t T) {
-                return R.CommitTime < T;
-              });
-          History.erase(History.begin(), Keep);
-        }
-      }
-      if (Ordered) {
-        std::lock_guard<std::mutex> Guard(OrderMutex);
-        OrderCv.notify_all();
-      }
-      return true;
-    }
-  }
-
-  const ObjectRegistry &Reg;
-  ConflictDetector &Detector;
-  unsigned NumThreads;
-  bool Reclaim;
-  bool Ordered;
-
-  mutable std::shared_mutex Lock;
-  std::atomic<uint64_t> Clock{1};
-  Snapshot Shared;
-  std::vector<CommittedRecord> History;
-  std::mutex ActiveMutex;
-  std::vector<uint64_t> ActiveBegins;
-  std::mutex OrderMutex;
-  std::condition_variable OrderCv;
-  std::atomic<uint64_t> OrderBase{0};
-  RunStats Stats;
-};
-
-// ---------------------------------------------------------------------------
-// Harness.
-// ---------------------------------------------------------------------------
 
 struct Scenario {
   const char *Name;
@@ -425,131 +245,80 @@ int main(int Argc, char **Argv) {
 
   Report.setMeta("reps", Reps);
   Report.setMeta("quick", Quick);
-  Report.setMeta("hw_threads",
+  Report.setMeta("nproc",
                  static_cast<unsigned>(std::thread::hardware_concurrency()));
+  Report.setMeta("cpu_model", bench::cpuModel());
 
-  std::printf("micro_commit: begin/commit throughput, coarse-locked "
-              "baseline vs scalable pipeline\n(median of %d reps, "
-              "ns per committed transaction; reclamation on)\n\n",
+  // The threaded engine, reclamation on, with \p Shards commit points.
+  auto Engine = [](unsigned Threads, unsigned Shards, bool Ordered) {
+    return [=](const ObjectRegistry &Reg, ConflictDetector &D) {
+      return std::make_unique<ShardedRuntime>(
+          Reg, D,
+          ShardedConfig{.NumThreads = Threads,
+                        .NumShards = Shards,
+                        .Ordered = Ordered,
+                        .ReclaimLogs = true});
+    };
+  };
+  auto AddRow = [&Report](const Scenario &S, const char *Det, unsigned N,
+                          unsigned Shards, const RunResult &R) {
+    Report.addRow({{"engine", "sharded"},
+                   {"detector", Det},
+                   {"scenario", S.Name},
+                   {"ordered", S.Ordered},
+                   {"threads", N},
+                   {"shards", Shards},
+                   {"tasks", S.Tasks},
+                   {"ns_per_commit", R.NsPerCommit},
+                   {"commits", R.Commits},
+                   {"retries", R.Retries}});
+  };
+
+  std::printf("micro_commit: begin/commit throughput of the threaded "
+              "engine\n(median of %d reps, ns per committed transaction; "
+              "reclamation on)\n\n",
               Reps);
 
-  double BestRatioAt4 = 0.0;
-  std::string BestLabel;
   for (const Scenario &S : Scenarios) {
     for (const char *Det : Detectors) {
       TextTable T;
-      T.setHeader({"threads", "coarse ns/commit", "scalable ns/commit",
-                   "speedup", "retries (c/s)"});
+      T.setHeader({"threads", "ns/commit", "retries"});
       for (unsigned N : Threads) {
-        RunResult Coarse = measure(
-            S, Det, S.Tasks, Reps, [N, &S](const ObjectRegistry &Reg,
-                                           ConflictDetector &D) {
-              return std::make_unique<CoarseRuntime>(Reg, D, N,
-                                                     /*Reclaim=*/true,
-                                                     S.Ordered);
-            });
-        RunResult Scalable = measure(
-            S, Det, S.Tasks, Reps, [N, &S](const ObjectRegistry &Reg,
-                                           ConflictDetector &D) {
-              return std::make_unique<ThreadedRuntime>(
-                  Reg, D,
-                  ThreadedConfig{N, S.Ordered, /*ReclaimLogs=*/true});
-            });
-        double Ratio = Scalable.NsPerCommit > 0.0
-                           ? Coarse.NsPerCommit / Scalable.NsPerCommit
-                           : 0.0;
-        if (N >= 4 && Ratio > BestRatioAt4) {
-          BestRatioAt4 = Ratio;
-          BestLabel = std::string(S.Name) + "/" + Det;
-        }
-        T.addRow({std::to_string(N), formatDouble(Coarse.NsPerCommit, 0),
-                  formatDouble(Scalable.NsPerCommit, 0),
-                  formatDouble(Ratio, 2) + "x",
-                  std::to_string(Coarse.Retries) + "/" +
-                      std::to_string(Scalable.Retries)});
-        for (const char *Engine : {"coarse", "scalable"}) {
-          const RunResult &R =
-              std::string(Engine) == "coarse" ? Coarse : Scalable;
-          Report.addRow({{"engine", Engine},
-                         {"detector", Det},
-                         {"scenario", S.Name},
-                         {"ordered", S.Ordered},
-                         {"threads", N},
-                         {"tasks", S.Tasks},
-                         {"ns_per_commit", R.NsPerCommit},
-                         {"commits", R.Commits},
-                         {"retries", R.Retries}});
-        }
+        RunResult R = measure(S, Det, S.Tasks, Reps, Engine(N, 1, S.Ordered));
+        T.addRow({std::to_string(N), formatDouble(R.NsPerCommit, 0),
+                  std::to_string(R.Retries)});
+        AddRow(S, Det, N, 1, R);
       }
-      std::printf("[scenario=%s detector=%s tasks=%d]\n%s\n", S.Name, Det,
-                  S.Tasks, T.render().c_str());
+      std::printf("[scenario=%s detector=%s tasks=%d shards=1]\n%s\n",
+                  S.Name, Det, S.Tasks, T.render().c_str());
     }
   }
 
-  std::printf("Best scalable-vs-coarse ratio at >=4 threads: %.2fx (%s)\n",
-              BestRatioAt4, BestLabel.c_str());
-
   // -------------------------------------------------------------------
-  // Sharded pipeline: shard-count sweep (location-sharded commit
-  // points, per-shard history and detection windows). The scalable
-  // ThreadedRuntime runs the same task set as the unsharded reference.
+  // Shard-count sweep (location-sharded commit points, per-shard
+  // history and detection windows); one shard is the reference.
   // -------------------------------------------------------------------
   const std::vector<unsigned> ShardCounts{1, 4, 16};
   const Scenario ShardScenarios[] = {
       {"disjoint-shard", Quick ? 256 : 1024},
       {"cross-shard", Quick ? 128 : 512},
   };
-  std::printf("\nsharded pipeline: shard-count sweep (ws detector, "
-              "%d writes/task, yielding bodies)\n\n",
+  std::printf("\nshard-count sweep (ws detector, %d writes/task, yielding "
+              "bodies)\n\n",
               WritesPerTask);
   for (const Scenario &S : ShardScenarios) {
     TextTable T;
-    T.setHeader({"threads", "scalable ns/commit", "1 shard", "4 shards",
-                 "16 shards", "1sh/16sh"});
+    T.setHeader({"threads", "1 shard", "4 shards", "16 shards", "1sh/16sh"});
     for (unsigned N : Threads) {
-      RunResult Scalable = measure(
-          S, "ws", S.Tasks, Reps,
-          [N](const ObjectRegistry &Reg, ConflictDetector &D) {
-            return std::make_unique<ThreadedRuntime>(
-                Reg, D, ThreadedConfig{N, /*Ordered=*/false,
-                                       /*ReclaimLogs=*/true});
-          });
-      Report.addRow({{"engine", "scalable"},
-                     {"detector", "ws"},
-                     {"scenario", S.Name},
-                     {"ordered", false},
-                     {"threads", N},
-                     {"tasks", S.Tasks},
-                     {"ns_per_commit", Scalable.NsPerCommit},
-                     {"commits", Scalable.Commits},
-                     {"retries", Scalable.Retries}});
-      std::vector<std::string> Row{std::to_string(N),
-                                   formatDouble(Scalable.NsPerCommit, 0)};
+      std::vector<std::string> Row{std::to_string(N)};
       double Sh1 = 0.0, Sh16 = 0.0;
       for (unsigned NS : ShardCounts) {
-        RunResult R = measure(
-            S, "ws", S.Tasks, Reps,
-            [N, NS](const ObjectRegistry &Reg, ConflictDetector &D) {
-              ShardedConfig Cfg;
-              Cfg.NumThreads = N;
-              Cfg.NumShards = NS;
-              Cfg.ReclaimLogs = true;
-              return std::make_unique<ShardedRuntime>(Reg, D, Cfg);
-            });
+        RunResult R = measure(S, "ws", S.Tasks, Reps, Engine(N, NS, false));
         if (NS == 1)
           Sh1 = R.NsPerCommit;
         if (NS == 16)
           Sh16 = R.NsPerCommit;
-        Report.addRow({{"engine", "sharded"},
-                       {"detector", "ws"},
-                       {"scenario", S.Name},
-                       {"ordered", false},
-                       {"threads", N},
-                       {"shards", NS},
-                       {"tasks", S.Tasks},
-                       {"ns_per_commit", R.NsPerCommit},
-                       {"commits", R.Commits},
-                       {"retries", R.Retries}});
+        AddRow(S, "ws", N, NS, R);
         Row.push_back(formatDouble(R.NsPerCommit, 0));
       }
       Row.push_back(formatDouble(Sh16 > 0.0 ? Sh1 / Sh16 : 0.0, 2) + "x");

@@ -11,9 +11,11 @@ std::string AbstractSeq::signature() const {
   for (size_t I = 0, E = Elems.size(); I != E; ++I) {
     if (I)
       Out += ", ";
-    if (Elems[I].IsGroup)
-      Out += "[" + symSeqToString(Elems[I].Body) + "]+";
-    else
+    if (Elems[I].IsGroup) {
+      Out += '[';
+      Out += symSeqToString(Elems[I].Body);
+      Out += "]+";
+    } else
       Out += Elems[I].Op.toString();
   }
   return Out;

@@ -1,10 +1,22 @@
 #include "janus/analysis/Divergence.h"
 
 #include <algorithm>
-#include <set>
+#include <map>
 
 using namespace janus;
 using namespace janus::analysis;
+
+/// The clock from which recorded attempt \p S observed \p Loc: the
+/// acquisition stamp of the shard owning it, or the attempt's begin
+/// clock when the recording carries no shard stamps.
+static uint64_t windowStart(const stm::ReplayStep &S, const Location &Loc,
+                            uint32_t Shards) {
+  const uint32_t Shard = shardIndexOf(Loc, Shards);
+  for (const auto &[Sh, Stamp] : S.ShardStamps)
+    if (Sh == Shard)
+      return Stamp;
+  return S.Begin;
+}
 
 std::string DivergenceReport::summary() const {
   if (clean())
@@ -94,23 +106,33 @@ janus::analysis::checkDivergence(const stm::ReplaySchedule &Sched,
       continue;
     }
     // Footprint overlap against the logs committed inside the recorded
-    // detection window (begin, detect-end]. Detection decomposes per
-    // location, so disjoint footprints cannot conflict under any
-    // commutativity table.
-    std::set<Location> Mine;
-    for (const stm::LogEntry &LE : *E.Log)
-      Mine.insert(LE.Loc);
+    // detection window, per location. Detection decomposes per location
+    // (§5.3), so disjoint footprints cannot conflict under any
+    // commutativity table. A location's window opens at the
+    // acquisition stamp of the shard that owns it, not at the attempt's
+    // begin clock: a committer bumps the global clock before it
+    // publishes its shard state, so an attempt can begin at clock k yet
+    // acquire the state from before commit k, and conflict with it.
+    std::map<Location, uint64_t> From;
+    uint64_t WindowBegin = S.Begin;
+    for (const stm::LogEntry &LE : *E.Log) {
+      const uint64_t B = windowStart(S, LE.Loc, Sched.Shards);
+      From.emplace(LE.Loc, B);
+      WindowBegin = std::min(WindowBegin, B);
+    }
     const uint64_t WindowEnd = std::min<uint64_t>(S.End, Commits.size());
     bool Overlap = false;
-    for (uint64_t K = S.Begin + 1; K <= WindowEnd && !Overlap; ++K) {
+    for (uint64_t K = WindowBegin + 1; K <= WindowEnd && !Overlap; ++K) {
       const stm::TxLogRef &Their = Commits[K - 1]->Log;
       if (!Their)
         continue;
-      for (const stm::LogEntry &LE : *Their)
-        if (Mine.count(LE.Loc)) {
+      for (const stm::LogEntry &LE : *Their) {
+        auto It = From.find(LE.Loc);
+        if (It != From.end() && It->second < K) {
           Overlap = true;
           break;
         }
+      }
     }
     if (!Overlap)
       Finding("task " + std::to_string(S.Tid) + " attempt " +
@@ -118,7 +140,7 @@ janus::analysis::checkDivergence(const stm::ReplaySchedule &Sched,
               " conflict-aborted when recorded, but its replayed footprint "
               "is disjoint from every log committed in its detection "
               "window (" +
-              std::to_string(S.Begin) + ", " + std::to_string(WindowEnd) +
+              std::to_string(WindowBegin) + ", " + std::to_string(WindowEnd) +
               "] — the recorded conflict cannot reproduce");
   }
   return R;

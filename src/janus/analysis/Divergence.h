@@ -18,8 +18,11 @@
 ///   - every recorded conflict abort is *possible*: the re-executed
 ///     attempt's log shares at least one location with the union of
 ///     the logs committed in its recorded detection window
-///     (begin, detect-end]. Conflict detection decomposes per location
-///     (paper §5.3), so a recorded conflict with a provably disjoint
+///     (stamp, detect-end], where each location's window opens at the
+///     acquisition stamp of the shard that owns it (the begin clock
+///     when the recording has no stamps). Conflict detection
+///     decomposes per location (paper §5.3), so a recorded conflict
+///     with a provably disjoint
 ///     footprint cannot have happened against this state history —
 ///     one-sided evidence that recording and replay disagree, sound
 ///     under any learned commutativity table (non-commuting implies

@@ -145,8 +145,9 @@ analysis::checkHappensBefore(const stm::AuditTrace &Trace,
       // acquisition stamp): a window member that committed at or
       // before that stamp was *observed* by Ej for this location — a
       // happens-before predecessor there, not a concurrent peer — so
-      // its operations leave this location's conflict history. For
-      // unsharded traces beginTimeFor degenerates to BeginTime, which
+      // its operations leave this location's conflict history. When
+      // Ej has one begin point for every location (no stamps, or a
+      // single acquired shard) beginTimeFor returns BeginTime, which
       // every window member's commit already exceeds: no-op.
       const uint64_t LocBegin = Ej.beginTimeFor(Loc, Trace.Shards);
       const symbolic::LocOpSeq *TheirSeq = &It->second;

@@ -202,56 +202,11 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
         std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
-  // Accumulates one runtime's per-run counters into the cumulative
-  // instance statistics.
-  auto MergeStats = [this](const stm::RunStats &R) {
-    Stats.Tasks += R.Tasks.load();
-    Stats.Commits += R.Commits.load();
-    Stats.Retries += R.Retries.load();
-    Stats.ConflictChecks += R.ConflictChecks.load();
-    Stats.ValidationFailures += R.ValidationFailures.load();
-    Stats.TraceEvents += R.TraceEvents.load();
-    Stats.EscapedAccesses += R.EscapedAccesses.load();
-    Stats.SerialFallbacks += R.SerialFallbacks.load();
-    Stats.TaskExceptions += R.TaskExceptions.load();
-    Stats.TaskFailures += R.TaskFailures.load();
-    Stats.FaultsInjected += R.FaultsInjected.load();
-    Stats.CrossShardCommits += R.CrossShardCommits.load();
-    Stats.EmptyCommits += R.EmptyCommits.load();
-    Stats.CancelledTasks += R.CancelledTasks.load();
-  };
-
-  if (Config.Shards > 1) {
-    // Location-sharded commit pipeline: per-shard histories, detection
-    // windows and commit points (DESIGN.md §11).
-    stm::ShardedConfig ShardCfg;
-    ShardCfg.NumThreads = Config.Threads;
-    ShardCfg.NumShards = Config.Shards;
-    ShardCfg.Ordered = Ordered;
-    ShardCfg.ReclaimLogs = Config.ReclaimLogs;
-    ShardCfg.RecordTrace = Config.RecordTrace;
-    ShardCfg.HistorySegmentRecords = Config.HistorySegmentRecords;
-    ShardCfg.Resilience = Config.Resilience;
-    ShardCfg.Faults = Config.Faults;
-    ShardCfg.Obs = ObsSink.get();
-    ShardCfg.Cancel = Config.Cancel;
-    ShardCfg.Rec = RecSink.get();
-    stm::ShardedRuntime Runtime(Reg, *Detector, ShardCfg);
-    Runtime.setInitialState(State);
-    auto Start = Clock::now();
-    Runtime.run(Tasks);
-    Outcome.ParallelTime =
-        std::chrono::duration<double>(Clock::now() - Start).count();
-    State = Runtime.sharedState();
-    if (Config.RecordTrace)
-      Trace = Runtime.trace();
-    Outcome.Failures = Runtime.failures();
-    MergeStats(Runtime.stats());
-    return Outcome;
-  }
-
-  stm::ThreadedConfig ThreadCfg;
+  // The threaded engine: per-shard histories, detection windows and
+  // commit points (DESIGN.md §11); one shard by default.
+  stm::ShardedConfig ThreadCfg;
   ThreadCfg.NumThreads = Config.Threads;
+  ThreadCfg.NumShards = Config.Shards;
   ThreadCfg.Ordered = Ordered;
   ThreadCfg.ReclaimLogs = Config.ReclaimLogs;
   ThreadCfg.RecordTrace = Config.RecordTrace;
@@ -261,7 +216,7 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
   ThreadCfg.Obs = ObsSink.get();
   ThreadCfg.Cancel = Config.Cancel;
   ThreadCfg.Rec = RecSink.get();
-  stm::ThreadedRuntime Runtime(Reg, *Detector, ThreadCfg);
+  stm::ShardedRuntime Runtime(Reg, *Detector, ThreadCfg);
   Runtime.setInitialState(State);
   auto Start = Clock::now();
   Runtime.run(Tasks);
@@ -271,6 +226,20 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
   if (Config.RecordTrace)
     Trace = Runtime.trace();
   Outcome.Failures = Runtime.failures();
-  MergeStats(Runtime.stats());
+  const stm::RunStats &R = Runtime.stats();
+  Stats.Tasks += R.Tasks.load();
+  Stats.Commits += R.Commits.load();
+  Stats.Retries += R.Retries.load();
+  Stats.ConflictChecks += R.ConflictChecks.load();
+  Stats.ValidationFailures += R.ValidationFailures.load();
+  Stats.TraceEvents += R.TraceEvents.load();
+  Stats.EscapedAccesses += R.EscapedAccesses.load();
+  Stats.SerialFallbacks += R.SerialFallbacks.load();
+  Stats.TaskExceptions += R.TaskExceptions.load();
+  Stats.TaskFailures += R.TaskFailures.load();
+  Stats.FaultsInjected += R.FaultsInjected.load();
+  Stats.CrossShardCommits += R.CrossShardCommits.load();
+  Stats.EmptyCommits += R.EmptyCommits.load();
+  Stats.CancelledTasks += R.CancelledTasks.load();
   return Outcome;
 }

@@ -27,7 +27,6 @@
 #include "janus/obs/Obs.h"
 #include "janus/stm/ShardedRuntime.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 #include "janus/training/Trainer.h"
 
 #include <memory>
@@ -50,11 +49,11 @@ enum class EngineKind : uint8_t {
 /// Full configuration of a JANUS instance.
 struct JanusConfig {
   unsigned Threads = 4;
-  /// Commit-pipeline shards for the threaded engine. 1 (the default)
-  /// selects the classic single-commit-point ThreadedRuntime; >1
-  /// selects the location-sharded engine (stm::ShardedRuntime) with
-  /// the value rounded up to a power of two and clamped to
-  /// [1, stm::ShardedRuntime::MaxShards]. Ignored by the simulator.
+  /// Commit-pipeline shards of the threaded engine
+  /// (stm::ShardedRuntime), rounded up to a power of two and clamped to
+  /// [1, stm::ShardedRuntime::MaxShards]. 1 (the default) is the
+  /// classic single commit point; more shards split the snapshot,
+  /// history and commit point by location. Ignored by the simulator.
   unsigned Shards = 1;
   DetectorKind Detector = DetectorKind::Sequence;
   conflict::SequenceDetectorConfig Sequence;
@@ -71,7 +70,7 @@ struct JanusConfig {
   /// sequence-detector memo and unique-query tables); rounded up to a
   /// power of two.
   unsigned DetectionShards = 8;
-  /// Records per committed-history segment in the threaded runtime —
+  /// Records per committed-history segment in the threaded engine —
   /// the granularity at which log reclamation returns memory.
   uint32_t HistorySegmentRecords = 64;
   /// Contention-management policy: exponential backoff, retry budgets,

@@ -4,9 +4,9 @@
 /// The observability façade the engines are wired through.
 ///
 /// An `Observer` bundles the trace buffer, the metrics registry and the
-/// sampling decision behind the one pointer both runtimes carry
-/// (`ThreadedConfig::Obs` / `SimConfig::Obs`, nullptr = observability
-/// off). The hot-path contract, checked by the micro_commit guard:
+/// sampling decision behind the one pointer both engines carry
+/// (`ShardedConfig::Obs` / `SimConfig::Obs`, nullptr = observability
+/// off). The hot-path contract:
 ///
 ///  - **Compile-time off** (`cmake -DJANUS_OBS=OFF` defines
 ///    `JANUS_OBS_ENABLED=0`): `janusObs(Config.Obs)` is a constant

@@ -45,11 +45,6 @@
 #include <string>
 #include <vector>
 
-// Same compile-time gate as Obs.h (-DJANUS_OBS=OFF defines it to 0).
-#ifndef JANUS_OBS_ENABLED
-#define JANUS_OBS_ENABLED 1
-#endif
-
 namespace janus {
 namespace obs {
 
@@ -242,15 +237,12 @@ bool writeJrec(const std::string &Path, const RecMeta &Meta,
 bool readJrec(const std::string &Path, RecMeta &Meta,
               std::vector<RecEvent> &Events, std::string *Err);
 
-/// Runtime gate, mirroring janusObs(): compiled out entirely under
-/// -DJANUS_OBS=OFF, nullptr when recording is off.
-#if JANUS_OBS_ENABLED
+/// Runtime gate: nullptr when recording is off. Unlike janusObs() it
+/// is not compiled out under -DJANUS_OBS=OFF — recording and replay are
+/// correctness tooling, so a lean build can still record and replay.
 inline Recorder *janusRec(Recorder *R) {
   return R && R->enabled() ? R : nullptr;
 }
-#else
-inline Recorder *janusRec(Recorder *) { return nullptr; }
-#endif
 
 } // namespace obs
 } // namespace janus

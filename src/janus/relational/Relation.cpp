@@ -104,12 +104,21 @@ std::string TupleFormula::toString(const Schema &S) const {
     return "false";
   case Kind::Eq:
     return S.columnName(Node->Col) + " = " + Node->V.toString();
-  case Kind::Not:
-    return "!(" + lhs().toString(S) + ")";
+  case Kind::Not: {
+    std::string Out = "!(";
+    Out += lhs().toString(S);
+    Out += ')';
+    return Out;
+  }
   case Kind::And:
-    return "(" + lhs().toString(S) + " & " + rhs().toString(S) + ")";
-  case Kind::Or:
-    return "(" + lhs().toString(S) + " | " + rhs().toString(S) + ")";
+  case Kind::Or: {
+    std::string Out = "(";
+    Out += lhs().toString(S);
+    Out += kind() == Kind::And ? " & " : " | ";
+    Out += rhs().toString(S);
+    Out += ')';
+    return Out;
+  }
   }
   janusUnreachable("invalid TupleFormula kind");
 }

@@ -196,8 +196,11 @@ std::string FaultPlan::toString() const {
     return C == 0 ? std::string("*") : std::to_string(C);
   };
   auto Coords = [&](const FaultAction &A) {
-    return "@" + Coord(A.Tid) + (A.ClientCoords ? ":" : ".") +
-           Coord(A.Attempt);
+    std::string Out = "@";
+    Out += Coord(A.Tid);
+    Out += A.ClientCoords ? ':' : '.';
+    Out += Coord(A.Attempt);
+    return Out;
   };
   std::string Out;
   for (const FaultAction &A : Actions) {

@@ -138,27 +138,39 @@ std::string
 FormulaArena::toString(Formula F,
                        const std::vector<std::string> &AtomNames) const {
   const Node &N = Nodes[F.Node];
-  auto NameOf = [&AtomNames](uint32_t A) {
-    return A < AtomNames.size() ? AtomNames[A] : "a" + std::to_string(A);
+  // Built by appending into one string: GCC 12 at -O3 raises a false
+  // -Wrestrict for `"literal" + std::string`.
+  auto Binary = [&](const char *Op) {
+    std::string Out = "(";
+    Out += toString(Formula{N.L}, AtomNames);
+    Out += Op;
+    Out += toString(Formula{N.R}, AtomNames);
+    Out += ')';
+    return Out;
   };
   switch (N.Conn) {
   case Connective::True:
     return "true";
   case Connective::False:
     return "false";
-  case Connective::Atom:
-    return NameOf(N.A);
-  case Connective::Not:
-    return "!" + toString(Formula{N.L}, AtomNames);
+  case Connective::Atom: {
+    if (N.A < AtomNames.size())
+      return AtomNames[N.A];
+    std::string Out = "a";
+    Out += std::to_string(N.A);
+    return Out;
+  }
+  case Connective::Not: {
+    std::string Out = "!";
+    Out += toString(Formula{N.L}, AtomNames);
+    return Out;
+  }
   case Connective::And:
-    return "(" + toString(Formula{N.L}, AtomNames) + " & " +
-           toString(Formula{N.R}, AtomNames) + ")";
+    return Binary(" & ");
   case Connective::Or:
-    return "(" + toString(Formula{N.L}, AtomNames) + " | " +
-           toString(Formula{N.R}, AtomNames) + ")";
+    return Binary(" | ");
   case Connective::Iff:
-    return "(" + toString(Formula{N.L}, AtomNames) + " <-> " +
-           toString(Formula{N.R}, AtomNames) + ")";
+    return Binary(" <-> ");
   }
   janusUnreachable("invalid connective");
 }

@@ -56,15 +56,15 @@ struct TraceEvent {
   TxLogRef Log;   ///< The attempt's operation log.
   Snapshot Entry; ///< SharedSnapshot at begin (O(1) persistent copy).
   CommitMode Mode = CommitMode::Speculative;
-  /// Sharded engine only: (shard index, global clock stamp at that
+  /// Threaded engine only: (shard index, global clock stamp at that
   /// shard's lazy acquisition), ascending by shard index. A shard's
   /// stamp is the acquisition-time begin point for every location the
-  /// attempt touched in that shard. Empty for unsharded runtimes and
-  /// for empty-log fast-path commits (which acquired no shard).
+  /// attempt touched in that shard. Empty for the simulator and for
+  /// empty-log fast-path commits (which acquired no shard).
   std::vector<std::pair<uint32_t, uint64_t>> ShardBegins;
 
   /// The begin point governing \p Loc's observations: its shard's
-  /// acquisition stamp, or BeginTime when the trace is unsharded (so
+  /// acquisition stamp, or BeginTime when the event has no stamps (so
   /// the refinement degenerates to the classic single-clock rule).
   /// \p NumShards is AuditTrace::Shards.
   uint64_t beginTimeFor(const Location &Loc, uint32_t NumShards) const {
@@ -87,7 +87,8 @@ struct AuditTrace {
   Snapshot Final;        ///< Shared state when run() returned.
   std::vector<TraceEvent> Events; ///< In recording order.
   /// Shard count of the recording engine (power of two); 1 for the
-  /// unsharded runtimes. Lets the auditor re-derive each location's
+  /// simulator, except when it replays a recording (then the
+  /// recording's count). Lets the auditor re-derive each location's
   /// shard, and with it the per-location begin stamp.
   uint32_t Shards = 1;
 

@@ -111,15 +111,19 @@ ShardedRuntime::~ShardedRuntime() {
 
 void ShardedRuntime::setInitialState(Snapshot S) {
   // Split the store by location routing, then swap every shard's slice
-  // under all shard mutexes. Like ThreadedRuntime::setInitialState,
-  // this is meant for configuration *before* running: a swap preserves
-  // each shard's version, so an attempt in flight across the swap
-  // could conflate the old and new slices.
+  // under all shard mutexes. This is meant for configuration *before*
+  // running: a swap preserves each shard's version, so an attempt in
+  // flight across the swap could conflate the old and new slices. With
+  // one shard the split is the identity and the snapshot is taken as
+  // is (an O(1) persistent copy, not a key-by-key rebuild).
   std::vector<Snapshot> Parts(NumShards);
-  S.forEach([this, &Parts](const Location &L, const Value &V) {
-    uint32_t Idx = shardIndexOf(L, NumShards);
-    Parts[Idx] = Parts[Idx].set(L, V);
-  });
+  if (NumShards == 1)
+    Parts[0] = std::move(S);
+  else
+    S.forEach([this, &Parts](const Location &L, const Value &V) {
+      uint32_t Idx = shardIndexOf(L, NumShards);
+      Parts[Idx] = Parts[Idx].set(L, V);
+    });
   for (uint32_t I = 0; I != NumShards; ++I)
     Shards[I].CommitMutex.lock();
   for (uint32_t I = 0; I != NumShards; ++I) {
@@ -143,11 +147,13 @@ Snapshot ShardedRuntime::sharedState() const {
   // A cross-shard-consistent cut needs every shard's commit point held
   // at once: a cross-shard commit publishes its shards while holding
   // all their mutexes, so it is either entirely visible here or not at
-  // all. Shard key sets are disjoint; merge order is immaterial.
+  // all. Shard key sets are disjoint, so the merge starts from shard
+  // 0's slice as is and adds the others (nothing to add with one
+  // shard).
   for (uint32_t I = 0; I != NumShards; ++I)
     Shards[I].CommitMutex.lock();
-  Snapshot Out;
-  for (uint32_t I = 0; I != NumShards; ++I) {
+  Snapshot Out = Shards[0].Published.load(std::memory_order_relaxed)->State;
+  for (uint32_t I = 1; I != NumShards; ++I) {
     const ShardState *P = Shards[I].Published.load(std::memory_order_relaxed);
     P->State.forEach([&Out](const Location &L, const Value &V) {
       Out = Out.set(L, V);
@@ -281,10 +287,9 @@ void ShardedRuntime::recordEvent(WorkerSlot &Worker, uint32_t Tid,
 void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
   if (!Config.Ordered)
     return;
-  // Identical handoff to ThreadedRuntime: task Tid's turn comes when
-  // the global Clock reaches OrderBase + Tid (every preceding task
-  // committed exactly one tick — speculative, serial, empty or
-  // placeholder alike).
+  // Task Tid's turn comes when the global Clock reaches OrderBase + Tid
+  // (every preceding task committed exactly one tick — speculative,
+  // serial, empty or placeholder alike).
   uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
   std::unique_lock<std::mutex> Guard(OrderMutex);
   if (Clock.load(std::memory_order_acquire) < Target) {

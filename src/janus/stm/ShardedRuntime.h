@@ -1,18 +1,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The location-sharded commit pipeline.
+/// The JANUS parallelization protocol on real threads (paper Figure 7),
+/// with location-sharded commit points.
 ///
-/// The scalable runtime (ThreadedRuntime) still funnels every commit
-/// through one snapshot-publication point and one history log — the
-/// bottleneck BENCH_micro_commit names. This engine partitions the
-/// object space into N location-keyed shards (power of two, routed by
-/// `shardIndexOf(Location)`), each owning its own
+/// DOPARALLEL runs the input tasks asynchronously until the pool is
+/// drained, retrying each task until it commits. Each attempt runs its
+/// body against privatized shard copies, waits for its turn when
+/// ordered, runs DETECTCONFLICTS against the commits that landed since
+/// it began, replays its log onto the published state outside every
+/// lock, and commits by validating that the published state is still
+/// the one the replay started from. Theorem 4.1: with a sound and valid
+/// detector this terminates, and ordered runs reach the sequential
+/// final state while unordered runs reach the final state of their
+/// commit order.
+///
+/// The object space is partitioned into N location-keyed shards (power
+/// of two, routed by `shardIndexOf(Location)`; one by default), each
+/// owning its own
 ///
 ///  - published snapshot slice (the shard's subset of the store),
 ///  - append-only `HistoryLog` segment chain, keyed by a *dense
 ///    per-shard version* (one bump per commit that touched the shard),
 ///  - commit mutex (the shard's commit point).
+///
+/// With one shard this is the classic single-commit-point engine: one
+/// published snapshot, one history, one commit mutex. More shards take
+/// the single publication point off the commit path.
 ///
 /// A transaction acquires shards lazily: the first access to a
 /// location in shard s hazard-protects s's published state and copies
@@ -35,11 +49,21 @@
 /// Every committed transaction — empty, single-, or cross-shard —
 /// stamps one tick of a dense global clock (`Clock.fetch_add(1)`), so
 /// the total commit order of Theorem 4.1 and the ordered-mode turn
-/// handoff work exactly as in the unsharded engine, while per-shard
-/// histories stay dense in their own version space. The auditor
-/// reconstructs the total order from the global stamps and refines
-/// per-location begin points from the recorded shard-acquisition
-/// stamps (`TraceEvent::ShardBegins`).
+/// handoff (each committer wakes exactly its successor) do not depend
+/// on the shard count, while per-shard histories stay dense in their
+/// own version space. The auditor reconstructs the total order from
+/// the global stamps and refines per-location begin points from the
+/// recorded shard-acquisition stamps (`TraceEvent::ShardBegins`).
+///
+/// Robustness (janus::resilience): every abort consults a
+/// `ContentionManager` — retries back off exponentially with
+/// deterministic jitter, and a task starved past its retry budget
+/// escalates to an irrevocable serial fallback under every shard lock.
+/// A task body that throws aborts cleanly and is retried up to a
+/// budget, then surfaces as a structured `TaskFailure` while an empty
+/// placeholder commit keeps the clock dense and ordered successors
+/// unblocked. A `FaultPlan` can deterministically force aborts, inject
+/// exceptions, and delay commits at chosen (task, attempt) coordinates.
 ///
 /// State lifetime is epoch-style, per shard: workers advertise the
 /// shard states they begin from in per-(worker, shard) hazard slots
@@ -77,16 +101,18 @@
 namespace janus {
 namespace stm {
 
-/// Configuration of a sharded run.
+/// Configuration of a threaded run.
 struct ShardedConfig {
   unsigned NumThreads = 4;
   /// Location-keyed shards. Rounded up to a power of two and clamped
-  /// to [1, MaxShards]; shard routing is `shardIndexOf(Loc, N)`.
-  unsigned NumShards = 8;
+  /// to [1, MaxShards]; shard routing is `shardIndexOf(Loc, N)`. One
+  /// shard is the single-commit-point engine.
+  unsigned NumShards = 1;
   /// In-order execution flag: commit in task order (Figure 7
   /// `ordered`).
   bool Ordered = false;
-  /// Reclaim committed logs no active transaction can still query.
+  /// Reclaim committed logs no active transaction can still query
+  /// (the engineering improvement discussed in §7.2).
   bool ReclaimLogs = false;
   /// Record an AuditTrace of every attempt for hindsight auditing.
   bool RecordTrace = false;
@@ -114,7 +140,7 @@ struct ShardedConfig {
 };
 
 /// Runs task sets under optimistic synchronization with per-shard
-/// commit points. API mirrors ThreadedRuntime.
+/// commit points.
 class ShardedRuntime {
 public:
   /// Hard cap on the shard count: a transaction's accessed-shard set
@@ -129,7 +155,7 @@ public:
   ShardedRuntime &operator=(const ShardedRuntime &) = delete;
 
   /// Sets the initial configuration of the shared state (split across
-  /// the shards by location routing).
+  /// the shards by location routing; taken as is with one shard).
   void setInitialState(Snapshot S);
 
   /// Executes \p Tasks to completion (DOPARALLEL). Task ids are their
@@ -138,7 +164,8 @@ public:
   void run(const std::vector<TaskFn> &Tasks);
 
   /// \returns the shared state after the last run, merged across
-  /// shards under all shard mutexes (a cross-shard-consistent cut).
+  /// shards under all shard mutexes (a cross-shard-consistent cut;
+  /// an O(1) persistent copy with one shard).
   Snapshot sharedState() const;
 
   const RunStats &stats() const { return Stats; }
@@ -289,8 +316,9 @@ private:
                    uint64_t FallbackBegin, uint64_t Commit, bool Committed,
                    TxLogRef Log, CommitMode Mode = CommitMode::Speculative);
 
-  /// Ordered-mode turn handoff on the global clock; identical
-  /// protocol to ThreadedRuntime.
+  /// Ordered-mode turn handoff on the global clock: a waiter parks on
+  /// its own condition variable and the committer whose tick makes it
+  /// eligible wakes exactly that waiter.
   void waitForTurn(uint32_t Tid, WorkerSlot &Worker);
   void notifySuccessor(uint64_t CommitTime);
 

@@ -1,305 +1,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The JANUS parallelization protocol on real threads (paper Figure 7).
+/// Compatibility names for the threaded engine.
 ///
-/// DOPARALLEL runs the input tasks asynchronously until the pool is
-/// drained, retrying each task until it commits. Each attempt:
-///   1. CREATETRANSACTION — load the atomically published (clock,
-///      snapshot) pair and copy the snapshot (O(1), persistent). No
-///      lock: publication is a pointer swap, begins are pointer loads.
-///   2. RUNSEQUENTIAL — run the task body against the privatized copy.
-///   3. If ordered, wait until Clock equals the task id (all preceding
-///      tasks committed); each committer hands the turn directly to
-///      its successor's condition variable, so a commit wakes one
-///      thread, not every waiter.
-///   4. Loop: read `now` from the published state; extend the
-///      transaction's borrowed view of the committed-history window to
-///      (Begin, now] (lock-free segment walk, incremental across
-///      rounds); DETECTCONFLICTS — on conflict, abort (retry from
-///      scratch). Otherwise replay the log onto the published snapshot
-///      *outside* any lock, then COMMIT: under the commit mutex,
-///      re-validate that the published state is still the one the
-///      replay started from, append the log to the history, and swap
-///      in the new snapshot. The exclusive section is a clock bump
-///      plus two pointer stores.
-///
-/// Committed logs live in an append-only segmented `HistoryLog`;
-/// reclamation (§7.2) advances an epoch head past the oldest active
-/// begin, tracked in per-thread cache-line-padded slots — freed
-/// segments are deferred until the last in-flight reader drops them.
-///
-/// Theorem 4.1: with a sound and valid detector this terminates, and
-/// ordered runs reach the sequential final state while unordered runs
-/// reach the final state of their commit order.
-///
-/// With `RecordTrace` set, every attempt (committed or aborted) is
-/// recorded into per-thread buffers merged into an `AuditTrace` when
-/// run() returns; `janus::analysis` can audit it after the fact.
-///
-/// Robustness (janus::resilience): every abort consults a
-/// `ContentionManager` — retries back off exponentially with
-/// deterministic jitter, and a task starved past its retry budget
-/// escalates to an irrevocable serial fallback under the commit lock.
-/// A task body that throws aborts cleanly (log discarded, hazard
-/// released) and is retried up to a budget, then surfaced as a
-/// structured `TaskFailure` while an empty placeholder commit keeps
-/// the clock dense and ordered successors unblocked. A `FaultPlan`
-/// can deterministically force aborts, inject exceptions, and delay
-/// commits at chosen (task, attempt) coordinates.
+/// The threaded engine is `ShardedRuntime` (stm/ShardedRuntime.h); with
+/// its default single shard it is the classic one-commit-point runtime.
+/// The repository benchmark (`perfbench/`) is versioned apart from the
+/// library and still names the engine and its config by their old
+/// names, so this header keeps them as aliases. New code uses the
+/// sharded names directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JANUS_STM_THREADEDRUNTIME_H
 #define JANUS_STM_THREADEDRUNTIME_H
 
-#include "janus/obs/Obs.h"
-#include "janus/obs/Recorder.h"
-#include "janus/resilience/Cancellation.h"
-#include "janus/resilience/ContentionManager.h"
-#include "janus/resilience/FaultPlan.h"
-#include "janus/stm/AuditTrace.h"
-#include "janus/stm/Detector.h"
-#include "janus/stm/HistoryLog.h"
-#include "janus/stm/Stats.h"
-#include "janus/stm/TxContext.h"
-
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include "janus/stm/ShardedRuntime.h"
 
 namespace janus {
 namespace stm {
 
-/// Configuration of a threaded run.
-struct ThreadedConfig {
-  unsigned NumThreads = 4;
-  /// In-order execution flag: commit in task order (Figure 7
-  /// `ordered`).
-  bool Ordered = false;
-  /// Reclaim committed logs no active transaction can still query
-  /// (the engineering improvement discussed in §7.2).
-  bool ReclaimLogs = false;
-  /// Record an AuditTrace of every attempt for hindsight auditing.
-  bool RecordTrace = false;
-  /// Records per committed-history segment — the granularity at which
-  /// reclamation returns memory.
-  uint32_t HistorySegmentRecords = 64;
-  /// Contention-management policy: backoff, retry budgets, and the
-  /// escalation to the irrevocable serial fallback.
-  resilience::ResilienceConfig Resilience = {};
-  /// Deterministic fault-injection plan (empty = no faults).
-  resilience::FaultPlan Faults = {};
-  /// Observability sink (janus::obs); nullptr = no instrumentation.
-  /// Must be provisioned with at least NumThreads lanes and outlive the
-  /// runtime. Appended last to keep aggregate initializers working.
-  obs::Observer *Obs = nullptr;
-  /// Cooperative cancellation (janus::serve deadlines / drain):
-  /// consulted at attempt boundaries and inside backoff waits. A
-  /// cancelled task fails with an empty placeholder commit, keeping the
-  /// clock dense. nullptr = never cancelled. Not owned; appended after
-  /// Obs for the same aggregate-init reason.
-  const resilience::CancellationTable *Cancel = nullptr;
-  /// Flight recorder (janus::obs::Recorder): per-lane begin/abort/
-  /// commit events with dense-clock stamps, replayable via
-  /// `janus replay`. Must be provisioned with at least NumThreads
-  /// lanes. nullptr = no recording. Not owned; appended last.
-  obs::Recorder *Rec = nullptr;
-};
-
-/// Runs task sets under optimistic synchronization with a pluggable
-/// conflict detector.
-class ThreadedRuntime {
-public:
-  /// \param Reg shared-object registry (must outlive the runtime).
-  /// \param Detector conflict-detection algorithm (must outlive the
-  ///        runtime).
-  ThreadedRuntime(const ObjectRegistry &Reg, ConflictDetector &Detector,
-                  ThreadedConfig Config);
-  ~ThreadedRuntime();
-
-  ThreadedRuntime(const ThreadedRuntime &) = delete;
-  ThreadedRuntime &operator=(const ThreadedRuntime &) = delete;
-
-  /// Sets the initial configuration of the shared state.
-  void setInitialState(Snapshot S);
-
-  /// Executes \p Tasks to completion (DOPARALLEL). Task ids are their
-  /// 1-based positions. May be called repeatedly; state persists
-  /// between calls.
-  void run(const std::vector<TaskFn> &Tasks);
-
-  /// \returns the shared state after the last run (O(1) persistent
-  /// copy of the currently published snapshot).
-  Snapshot sharedState() const;
-
-  const RunStats &stats() const { return Stats; }
-  RunStats &stats() { return Stats; }
-
-  /// \returns the number of committed-history records currently
-  /// retained (for the log-reclamation ablation).
-  size_t historySize() const;
-
-  /// Task ids (1-based) in commit order over every run so far. The
-  /// parallel final state equals a sequential execution in this order
-  /// (Theorem 4.1).
-  std::vector<uint32_t> commitOrder() const;
-
-  /// \returns the recorded trace (empty unless RecordTrace was set).
-  /// Call only after run() has returned.
-  const AuditTrace &trace() const { return Trace; }
-
-  /// Tasks of the last run() whose bodies kept throwing past the
-  /// exception retry budget. Their slots in the commit order were
-  /// filled by empty placeholder commits; their effects are absent
-  /// from the final state. Call only after run() has returned.
-  const std::vector<resilience::TaskFailure> &failures() const {
-    return Failures;
-  }
-
-private:
-  /// The atomically swapped image of the shared state: the latest
-  /// commit time, the snapshot it produced, and the history segment a
-  /// transaction beginning here starts its conflict window from. The
-  /// triple is immutable, so one pointer load observes a consistent
-  /// clock/snapshot pair — CREATETRANSACTION needs no lock at all.
-  ///
-  /// Published deliberately holds a *raw* pointer: libstdc++'s
-  /// std::atomic<std::shared_ptr> guards every load with an internal
-  /// spinlock, which convoys badly once threads outnumber cores. A raw
-  /// seq_cst pointer load is a single instruction; lifetime is instead
-  /// managed epoch-style — states chain oldest→newest through Newer,
-  /// and the committer frees the prefix older than every advertised
-  /// active begin (the same protocol that reclaims history segments).
-  struct PublishedState {
-    uint64_t Time = 0;
-    Snapshot State;
-    HistoryLog::SegmentRef HistoryTail;
-    PublishedState *Newer = nullptr; ///< Written under CommitMutex.
-  };
-
-  static constexpr uint64_t NoActiveBegin = ~uint64_t{0};
-
-  /// Per-worker runtime state, cache-line padded: the active-begin
-  /// slot committers scan for reclamation (doubling as the hazard that
-  /// keeps epoch reclamation off the worker's published state and
-  /// history window), the worker's private condition variable for
-  /// ordered-mode turn handoff, and its private trace buffer (merged
-  /// after the run).
-  struct alignas(CacheLineSize) WorkerSlot {
-    std::atomic<uint64_t> Begin{NoActiveBegin};
-    /// Latest commit time this worker has observed; only its own
-    /// thread reads or writes it. Published as the conservative
-    /// hazard before the worker knows its actual begin time.
-    uint64_t LastSeen = 0;
-    /// Signalled (at most once per turn) when this worker's ordered
-    /// turn arrives; see OrderWaiters.
-    std::condition_variable TurnCv;
-    std::vector<TraceEvent> Events;
-    /// Tasks this worker gave up on; merged after the run.
-    std::vector<resilience::TaskFailure> Failures;
-  };
-
-  /// How one RUNTASK attempt ended.
-  enum class AttemptResult : uint8_t {
-    Committed, ///< The transaction committed.
-    Aborted,   ///< Conflict detected (or fault-injected); retry.
-    Thrown,    ///< The task body threw; *ThrowMsg holds what().
-    Cancelled, ///< Cancellation token fired mid-attempt; fail the task.
-  };
-
-  /// One RUNTASK attempt. \p Attempt is the task's 1-based attempt
-  /// number (fault-plan coordinate); \p Lane the worker slot index
-  /// (trace lane).
-  AttemptResult runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
-                        unsigned Lane, WorkerSlot &Worker,
-                        std::string *ThrowMsg);
-
-  /// Irrevocable serial fallback: executes \p Task pessimistically
-  /// under the commit lock (cannot conflict, cannot abort) and commits
-  /// it; with \p Task == nullptr commits an empty *placeholder* log for
-  /// a permanently failed task, keeping the commit clock dense and
-  /// ordered successors unblocked. In ordered mode, waits for the
-  /// task's turn *before* taking the lock (the predecessor's commit
-  /// needs it).
-  void commitSerial(const TaskFn *Task, uint32_t Tid, unsigned Lane,
-                    WorkerSlot &Worker);
-
-  /// Appends one attempt record to the worker's trace buffer (no-op
-  /// unless recording).
-  void recordEvent(WorkerSlot &Worker, uint32_t Tid, uint64_t Begin,
-                   uint64_t Commit, bool Committed, TxLogRef Log,
-                   Snapshot Entry,
-                   CommitMode Mode = CommitMode::Speculative);
-
-  /// Blocks the calling worker while it waits for its ordered-mode
-  /// commit turn (Clock >= OrderBase + Tid). No-op when unordered.
-  void waitForTurn(uint32_t Tid, WorkerSlot &Worker);
-
-  /// Wakes the ordered-mode waiter (if any) whose turn the commit at
-  /// \p CommitTime made eligible. No-op when unordered.
-  void notifySuccessor(uint64_t CommitTime);
-
-  /// \returns the smallest begin time of any in-flight transaction, or
-  /// \p Fallback when none is active.
-  uint64_t minActiveBegin(uint64_t Fallback) const;
-
-  /// Recycles published states no in-flight transaction can still
-  /// reference (Time < \p Min, never the newest): their snapshot and
-  /// history-tail refs are dropped and the nodes parked in StatePool
-  /// for the next commit. Caller holds CommitMutex.
-  void reclaimStates(uint64_t Min);
-
-  /// Pops a recycled PublishedState (or allocates the pool's first).
-  /// Caller holds CommitMutex and fills every field.
-  PublishedState *allocState();
-
-  const ObjectRegistry &Reg;
-  ConflictDetector &Detector;
-  ThreadedConfig Config;
-
-  /// Mirrors Published->Time (the latest commit time). Kept as a plain
-  /// atomic for the ordered-mode turn predicate and for size queries
-  /// that must not dereference Published without a hazard.
-  std::atomic<uint64_t> Clock{1};
-  std::atomic<PublishedState *> Published{nullptr};
-  /// Oldest state still allocated; chain head for epoch freeing.
-  /// Mutated only under CommitMutex (and the destructor).
-  PublishedState *OldestState = nullptr;
-  /// Recycled PublishedState nodes (guarded by CommitMutex): commits
-  /// reuse them so the steady-state commit path allocates nothing.
-  std::vector<PublishedState *> StatePool;
-  HistoryLog History;
-
-  /// Serializes commits only: validate-bump-swap plus the CommitOrder
-  /// append. Begins, task bodies, detection and log replay all run
-  /// outside it.
-  mutable std::mutex CommitMutex;
-  std::vector<uint32_t> CommitOrder; ///< Guarded by CommitMutex.
-
-  std::vector<WorkerSlot> Workers; ///< One per configured thread.
-
-  std::mutex OrderMutex; ///< Ordered-mode turn registry.
-  /// Ordered-mode handoff: maps a turn (the Clock value that makes a
-  /// waiting transaction eligible) to the waiter's TurnCv. A committer
-  /// wakes exactly its successor instead of broadcasting to every
-  /// waiting worker — the pre-refactor notify_all cost O(threads)
-  /// futile wakeups (each a futex round trip) per commit. Guarded by
-  /// OrderMutex; waiters erase their own entry once their turn comes.
-  std::unordered_map<uint64_t, std::condition_variable *> OrderWaiters;
-  std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
-
-  /// Contention-management state for the current run() (task ids are
-  /// per-run, so the manager is recreated for each call).
-  std::unique_ptr<resilience::ContentionManager> CM;
-  std::vector<resilience::TaskFailure> Failures;
-
-  AuditTrace Trace;
-  RunStats Stats;
-};
+using ThreadedConfig = ShardedConfig;
+using ThreadedRuntime = ShardedRuntime;
 
 } // namespace stm
 } // namespace janus

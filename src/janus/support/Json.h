@@ -76,7 +76,10 @@ inline std::string jsonEscape(std::string_view S) {
 
 /// \returns \p S quoted and escaped as a JSON string literal.
 inline std::string jsonQuote(std::string_view S) {
-  return "\"" + jsonEscape(S) + "\"";
+  std::string Out = "\"";
+  Out += jsonEscape(S);
+  Out += '"';
+  return Out;
 }
 
 /// \returns \p D rendered as a JSON number. JSON has no NaN/Inf; those

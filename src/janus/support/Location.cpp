@@ -11,16 +11,25 @@ size_t Location::hash() const {
   return H;
 }
 
-static std::string keyToString(const LocKey &Key) {
-  if (const int64_t *I = std::get_if<int64_t>(&Key))
-    return "[" + std::to_string(*I) + "]";
-  if (const std::string *S = std::get_if<std::string>(&Key))
-    return "[\"" + *S + "\"]";
-  return "";
+// Strings are built by appending into one buffer: GCC 12 at -O3 raises
+// a false -Wrestrict inside char_traits for `"literal" + std::string`.
+static void appendKey(std::string &Out, const LocKey &Key) {
+  if (const int64_t *I = std::get_if<int64_t>(&Key)) {
+    Out += '[';
+    Out += std::to_string(*I);
+    Out += ']';
+  } else if (const std::string *S = std::get_if<std::string>(&Key)) {
+    Out += "[\"";
+    Out += *S;
+    Out += "\"]";
+  }
 }
 
 std::string Location::toString() const {
-  return "obj#" + std::to_string(Obj.Id) + keyToString(Key);
+  std::string Out = "obj#";
+  Out += std::to_string(Obj.Id);
+  appendKey(Out, Key);
+  return Out;
 }
 
 ObjectId ObjectRegistry::registerObject(std::string Name,
@@ -34,7 +43,9 @@ ObjectId ObjectRegistry::registerObject(std::string Name,
 }
 
 std::string ObjectRegistry::locationName(const Location &Loc) const {
-  return info(Loc.Obj).Name + keyToString(Loc.Key);
+  std::string Out = info(Loc.Obj).Name;
+  appendKey(Out, Loc.Key);
+  return Out;
 }
 
 const char *janus::adtKindName(AdtKind Kind) {

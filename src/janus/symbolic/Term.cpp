@@ -170,48 +170,56 @@ Term Term::mapSymbols(const std::function<SymId(SymId)> &Map) const {
   janusUnreachable("invalid Term kind");
 }
 
+// The printers below append into one string rather than chaining
+// `"literal" + std::string`, for which GCC 12 at -O3 raises a false
+// -Wrestrict.
 std::string Term::toString() const {
   switch (K) {
   case Kind::Const:
     return ConstVal.toString();
-  case Kind::Opaque:
-    return "q" + std::to_string(Opaque);
+  case Kind::Opaque: {
+    std::string Out = "q";
+    Out += std::to_string(Opaque);
+    return Out;
+  }
   case Kind::ReadPlus: {
-    std::string Out = "read#" + std::to_string(ReadIdx);
+    std::string Out = "read#";
+    Out += std::to_string(ReadIdx);
     if (Base > 0)
-      Out += "+" + std::to_string(Base);
-    else if (Base < 0)
+      Out += '+';
+    if (Base != 0)
       Out += std::to_string(Base);
     return Out;
   }
   case Kind::Lin: {
     std::string Out;
     for (const auto &[S, C] : Coefs) {
-      std::string Name = S == EntrySym ? "v0" : "p" + std::to_string(S);
-      if (Out.empty()) {
-        if (C == 1)
-          Out = Name;
-        else if (C == -1)
-          Out = "-" + Name;
-        else
-          Out = std::to_string(C) + "*" + Name;
+      // The first term carries its own sign; later ones are joined by
+      // " + " or " - " and print their magnitude.
+      int64_t Shown = C;
+      if (!Out.empty()) {
+        Out += C > 0 ? " + " : " - ";
+        Shown = C > 0 ? C : -C;
+      } else if (C == -1) {
+        Out += '-';
+      }
+      if (C != 1 && C != -1) {
+        Out += std::to_string(Shown);
+        Out += '*';
+      }
+      if (S == EntrySym) {
+        Out += "v0";
       } else {
-        if (C == 1)
-          Out += " + " + Name;
-        else if (C == -1)
-          Out += " - " + Name;
-        else if (C > 0)
-          Out += " + " + std::to_string(C) + "*" + Name;
-        else
-          Out += " - " + std::to_string(-C) + "*" + Name;
+        Out += 'p';
+        Out += std::to_string(S);
       }
     }
     if (Out.empty())
       return std::to_string(Base);
-    if (Base > 0)
-      Out += " + " + std::to_string(Base);
-    else if (Base < 0)
-      Out += " - " + std::to_string(-Base);
+    if (Base != 0) {
+      Out += Base > 0 ? " + " : " - ";
+      Out += std::to_string(Base > 0 ? Base : -Base);
+    }
     return Out;
   }
   }
@@ -239,13 +247,17 @@ static void serializeValue(const Value &V, std::string &Out) {
     Out += V.asBool() ? "B1" : "B0";
     return;
   case Value::Kind::Int:
-    Out += "I" + std::to_string(V.asInt());
+    Out += 'I';
+    Out += std::to_string(V.asInt());
     return;
   case Value::Kind::Str: {
     const std::string &S = V.asStr();
     JANUS_ASSERT(S.find('\n') == std::string::npos,
                  "newline in serialized string value");
-    Out += "S" + std::to_string(S.size()) + ":" + S;
+    Out += 'S';
+    Out += std::to_string(S.size());
+    Out += ':';
+    Out += S;
     return;
   }
   }
@@ -321,16 +333,27 @@ void Term::serialize(std::string &Out) const {
     serializeValue(ConstVal, Out);
     return;
   case Kind::Lin: {
-    Out += "L " + std::to_string(Base) + " " + std::to_string(Coefs.size());
-    for (const auto &[S, C] : Coefs)
-      Out += " " + std::to_string(S) + " " + std::to_string(C);
+    Out += "L ";
+    Out += std::to_string(Base);
+    Out += ' ';
+    Out += std::to_string(Coefs.size());
+    for (const auto &[S, C] : Coefs) {
+      Out += ' ';
+      Out += std::to_string(S);
+      Out += ' ';
+      Out += std::to_string(C);
+    }
     return;
   }
   case Kind::Opaque:
-    Out += "Q " + std::to_string(Opaque);
+    Out += "Q ";
+    Out += std::to_string(Opaque);
     return;
   case Kind::ReadPlus:
-    Out += "P " + std::to_string(ReadIdx) + " " + std::to_string(Base);
+    Out += "P ";
+    Out += std::to_string(ReadIdx);
+    Out += ' ';
+    Out += std::to_string(Base);
     return;
   }
   janusUnreachable("invalid Term kind");

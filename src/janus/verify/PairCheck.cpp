@@ -185,7 +185,10 @@ std::string renderBindings(const Value &Entry, const Bindings &B) {
     Out += ", ";
     if (Theirs)
       Out += "theirs.";
-    Out += "p" + std::to_string(Local) + "=" + V.toString();
+    Out += 'p';
+    Out += std::to_string(Local);
+    Out += '=';
+    Out += V.toString();
   }
   return Out;
 }

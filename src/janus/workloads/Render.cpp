@@ -23,7 +23,7 @@ RenderScene RenderWorkload::generateScene(const PayloadSpec &Payload) {
     N.X = R.range(0, Scene.Width - NodeWidth - 1);
     N.Y = R.range(0, Scene.Height - NodeHeight - 1);
     N.Normal = R.chance(4, 5);
-    N.Label = "n" + std::to_string(I % 7); // Few distinct labels.
+    N.Label = indexedKey('n', I % 7); // Few distinct labels.
     // Layered DAG: parents are earlier nodes.
     if (I > 0) {
       int NumParents = static_cast<int>(R.below(3));

@@ -66,7 +66,7 @@ SaturationWorkload::makeTasks(const PayloadSpec &Payload) {
       // neighbor's saturation degree — a commutative reduction.
       for (int64_t NbV : Nb)
         SaturationDeg.addAt(Tx, NbV, 1);
-      ColorCounts.addAt(Tx, "c" + std::to_string(Chosen), 1);
+      ColorCounts.addAt(Tx, indexedKey('c', Chosen), 1);
       ColoredNodes.add(Tx, 1);
       if (Chosen > MaxColor.get(Tx))
         MaxColor.set(Tx, Chosen);
@@ -103,7 +103,7 @@ bool SaturationWorkload::verify(core::Janus &J, const PayloadSpec &Payload) {
   // The per-color counts sum to N.
   int64_t Sum = 0;
   for (int64_t C = 1; C <= Max; ++C) {
-    Value Count = J.valueAt(ColorCounts.locationAt("c" + std::to_string(C)));
+    Value Count = J.valueAt(ColorCounts.locationAt(indexedKey('c', C)));
     Sum += Count.isInt() ? Count.asInt() : 0;
   }
   if (Sum != N)

@@ -46,8 +46,8 @@ std::vector<TaskFn> Ssca2Workload::makeTasks(const PayloadSpec &Payload) {
         if (I == Batch.size() / 2)
           std::this_thread::yield();
         const WeightedEdge &E = Batch[I];
-        Weights.addAt(Tx, "n" + std::to_string(E.U), E.Weight);
-        Weights.addAt(Tx, "n" + std::to_string(E.V), E.Weight);
+        Weights.addAt(Tx, indexedKey('n', E.U), E.Weight);
+        Weights.addAt(Tx, indexedKey('n', E.V), E.Weight);
         Visited.set(Tx, E.U);
         Visited.set(Tx, E.V);
         Edges.add(Tx, 1);
@@ -68,7 +68,7 @@ bool Ssca2Workload::verify(core::Janus &J, const PayloadSpec &Payload) {
     Touched[E.U] = Touched[E.V] = true;
   }
   for (int64_t N = 0; N != MaxNodes; ++N) {
-    Value W = J.valueAt(Weights.locationAt("n" + std::to_string(N)));
+    Value W = J.valueAt(Weights.locationAt(indexedKey('n', N)));
     int64_t Got = W.isInt() ? W.asInt() : 0;
     if (Got != Expected[N])
       return false;

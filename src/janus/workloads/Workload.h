@@ -91,6 +91,15 @@ std::vector<std::unique_ptr<Workload>> allWorkloads();
 /// \returns one workload by name, or nullptr.
 std::unique_ptr<Workload> workloadByName(const std::string &Name);
 
+/// \returns the key \p Prefix followed by \p N in decimal ("n12").
+/// Appends rather than `"n" + std::to_string(N)`, for which GCC 12 at
+/// -O3 raises a false -Wrestrict.
+inline std::string indexedKey(char Prefix, int64_t N) {
+  std::string Key(1, Prefix);
+  Key += std::to_string(N);
+  return Key;
+}
+
 } // namespace workloads
 } // namespace janus
 

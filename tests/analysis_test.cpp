@@ -16,7 +16,7 @@
 #include "janus/adt/TxCounter.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -347,8 +347,7 @@ TEST(AuditorTest, ThreadedTraceAuditsClean) {
   ObjectRegistry Reg;
   ObjectId Obj = Reg.registerObject("x");
   WriteSetDetector D;
-  ThreadedRuntime R(Reg, D,
-                    ThreadedConfig{4, false, false, /*RecordTrace=*/true});
+  ShardedRuntime R(Reg, D, ShardedConfig{.NumThreads = 4, .RecordTrace = true});
   std::vector<TaskFn> Tasks = incrementTasks(Location(Obj), 40);
   R.run(Tasks);
   AuditReport Report = audit(R.trace(), Tasks, Reg);

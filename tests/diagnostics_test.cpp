@@ -11,7 +11,7 @@
 #include "janus/conflict/SequenceDetector.h"
 #include "janus/core/Janus.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Rng.h"
 #include "janus/training/PatternReport.h"
 #include "janus/training/Trainer.h"
@@ -383,7 +383,7 @@ TEST_P(SerializabilityOracle, ThreadedFinalStateEqualsCommitOrderReplay) {
   std::vector<TaskFn> Tasks = randomTasks(A, B, R, 30);
 
   stm::WriteSetDetector D;
-  stm::ThreadedRuntime Runtime(Reg, D, stm::ThreadedConfig{4, false, false});
+  stm::ShardedRuntime Runtime(Reg, D, stm::ShardedConfig{.NumThreads = 4});
   Runtime.run(Tasks);
 
   std::vector<uint32_t> Order = Runtime.commitOrder();

@@ -17,7 +17,7 @@
 #include "janus/core/Janus.h"
 #include "janus/relational/RelOp.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Rng.h"
 #include "janus/training/Trainer.h"
 
@@ -252,8 +252,7 @@ TEST_P(TrainedDetectorSerializability, ThreadedCommitOrderReplayMatches) {
   conflict::SequenceDetector D(Cache, Cfg);
 
   std::vector<TaskFn> Tasks = mixedTasks(Counter, Cell, List, R, 30);
-  stm::ThreadedRuntime Runtime(Reg, D,
-                               stm::ThreadedConfig{4, false, false});
+  stm::ShardedRuntime Runtime(Reg, D, stm::ShardedConfig{.NumThreads = 4});
   Snapshot Init;
   Init = Init.set(Location(List, "size"), Value::of(int64_t(0)));
   Runtime.setInitialState(Init);
@@ -290,8 +289,8 @@ TEST(EngineAgreementTest, OrderedRunsSameFinalStateOnBothEngines) {
     Sim.setInitialState(Init);
     Sim.run(Tasks);
 
-    stm::ThreadedRuntime Threaded(Reg, D2,
-                                  stm::ThreadedConfig{4, true, false});
+    stm::ShardedRuntime Threaded(
+        Reg, D2, stm::ShardedConfig{.NumThreads = 4, .Ordered = true});
     Threaded.setInitialState(Init);
     Threaded.run(Tasks);
 

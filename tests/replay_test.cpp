@@ -389,6 +389,55 @@ TEST(ReplayRoundTripTest, TamperedScheduleDiverges) {
   EXPECT_FALSE(DR.clean());
 }
 
+TEST(ReplayDivergenceTest, ConflictWindowOpensAtShardAcquisitionStamp) {
+  // A committer bumps the global clock before it publishes its shard
+  // state, so an attempt can begin at clock k, acquire the shard state
+  // from before commit k (stamp k-1), and conflict with commit k. The
+  // recorded conflict is real; the divergence check must find it in
+  // the window (k-1, k], not in the empty (k, k].
+  std::vector<RecEvent> Events;
+  auto Push = [&Events](RecKind Kind, uint32_t Tid, uint32_t Attempt,
+                        uint64_t Clock, uint32_t Aux = 0) {
+    RecEvent E;
+    E.Seq = Events.size() + 1;
+    E.Kind = static_cast<uint8_t>(Kind);
+    E.Tid = Tid;
+    E.Attempt = Attempt;
+    E.Clock = Clock;
+    E.Aux = Aux;
+    Events.push_back(E);
+  };
+  Push(RecKind::Begin, 1, 1, 1);
+  Push(RecKind::ShardAcquire, 1, 1, 1, /*Shard=*/0);
+  Push(RecKind::Commit, 1, 1, 2);
+  Push(RecKind::Begin, 2, 1, 2);                     // Begin clock k.
+  Push(RecKind::ShardAcquire, 2, 1, 1, /*Shard=*/0); // Stamp k-1.
+  Push(RecKind::Abort, 2, 1, 2, RecAbortConflict);   // Detect-end k.
+  Push(RecKind::Begin, 2, 2, 2);
+  Push(RecKind::ShardAcquire, 2, 2, 2, /*Shard=*/0);
+  Push(RecKind::Commit, 2, 2, 3);
+
+  stm::ReplaySchedule Sched;
+  std::string Err;
+  ASSERT_TRUE(stm::buildReplaySchedule(Events, 1, Sched, &Err)) << Err;
+
+  std::vector<std::string> Problems;
+  JanusConfig RCfg;
+  RCfg.Engine = EngineKind::Simulated;
+  RCfg.Detector = DetectorKind::WriteSet;
+  RCfg.RecordTrace = true;
+  RCfg.Replay = &Sched;
+  RCfg.ReplayProblems = &Problems;
+  Janus R(RCfg);
+  Location RC(R.registry().registerObject("counter"));
+  R.runOutOfOrder(counterTasks(RC, 2));
+
+  EXPECT_TRUE(Problems.empty());
+  analysis::DivergenceReport DR =
+      analysis::checkDivergence(Sched, R.lastTrace());
+  EXPECT_TRUE(DR.clean()) << DR.summary();
+}
+
 TEST(ReplayRoundTripTest, EndToEndThroughJrecFile) {
   // The full pipeline the CLI runs: record, encode, decode, rebuild,
   // replay.

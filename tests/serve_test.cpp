@@ -17,7 +17,7 @@
 #include "janus/serve/Serve.h"
 #include "janus/serve/SubmissionQueue.h"
 #include "janus/stm/Detector.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -460,12 +460,12 @@ TEST(ThreadedCancellationTest, ExpiredDeadlineFailsTaskKeepingClockDense) {
   ObjectRegistry Reg;
   ObjectId Counter = Reg.registerObject("counter");
   stm::WriteSetDetector D;
-  stm::ThreadedConfig Cfg;
+  stm::ShardedConfig Cfg;
   Cfg.NumThreads = 2;
   CancellationTable Table(4);
   Table.task(2)->setDeadlineUs(CancelToken::nowUs() - 1); // Pre-expired.
   Cfg.Cancel = &Table;
-  stm::ThreadedRuntime R(Reg, D, Cfg);
+  stm::ShardedRuntime R(Reg, D, Cfg);
 
   std::vector<stm::TaskFn> Tasks(4, [Counter](stm::TxContext &Tx) {
     Tx.add(Location(Counter), 1);

@@ -5,7 +5,7 @@
 /// and the auditor's per-shard begin refinement.
 ///
 /// The load-bearing properties: the dense global clock gives the same
-/// Theorem 4.1 commit-order semantics as the unsharded engine (ordered
+/// Theorem 4.1 commit-order semantics as a single shard (ordered
 /// mode commits in task order, cross-shard commits included); per-shard
 /// detection admits exactly what global detection would; epoch
 /// recycling under reclamation stays safe under thread churn (run this
@@ -19,7 +19,6 @@
 #include "janus/analysis/HappensBefore.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/ShardedRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -350,13 +349,12 @@ TEST(HappensBeforeShardedTest, ShardBeginsSuppressObservedPredecessors) {
   EXPECT_EQ(Flat.harmfulCount(), 1u);
 }
 
-// Satellite regression guard for the unsharded engine: empty commits
-// take the allocation-free fast path and are counted.
-TEST(ThreadedRuntimeTest, EmptyCommitsAreCountedOnTheFastPath) {
+// Regression guard for the single-shard engine: empty commits take the
+// allocation-free fast path and are counted.
+TEST(ShardedRuntimeTest, EmptyCommitsAreCountedOnTheFastPath) {
   ObjectRegistry Reg;
   WriteSetDetector D;
-  ThreadedRuntime R(Reg, D, ThreadedConfig{4, /*Ordered=*/false,
-                                           /*ReclaimLogs=*/true});
+  ShardedRuntime R(Reg, D, shardedConfig(4, 1));
   const int N = 100;
   R.run(std::vector<TaskFn>(N, [](TxContext &) {}));
   EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(N));
@@ -447,7 +445,7 @@ TEST(ShardedRuntimeTest, TornCommitProbeUnderMidAcquireFaults) {
   EXPECT_TRUE(Report.clean()) << Report.summary();
 }
 
-TEST(ShardedRuntimeTest, ShardedAndUnshardedEnginesAgreeOnFinalState) {
+TEST(ShardedRuntimeTest, EightShardsAndOneShardAgreeOnFinalState) {
   const int N = 48;
   auto MakeTasks = [](ObjectId Counter, ObjectId Slots) {
     std::vector<TaskFn> Tasks;
@@ -470,14 +468,14 @@ TEST(ShardedRuntimeTest, ShardedAndUnshardedEnginesAgreeOnFinalState) {
   ObjectId CounterB = RegB.registerObject("counter");
   ObjectId SlotsB = RegB.registerObject("slots", "slots.elem");
   WriteSetDetector DB;
-  ThreadedRuntime Threaded(RegB, DB, ThreadedConfig{4, false, true});
-  Threaded.run(MakeTasks(CounterB, SlotsB));
+  ShardedRuntime OneShard(RegB, DB, shardedConfig(4, 1));
+  OneShard.run(MakeTasks(CounterB, SlotsB));
 
   EXPECT_EQ(snapshotValue(Sharded.sharedState(), Location(CounterA)).asInt(),
-            snapshotValue(Threaded.sharedState(), Location(CounterB))
+            snapshotValue(OneShard.sharedState(), Location(CounterB))
                 .asInt());
   for (int I = 0; I != 17; ++I)
     EXPECT_EQ(
         snapshotValue(Sharded.sharedState(), Location(SlotsA, I)).asInt(),
-        snapshotValue(Threaded.sharedState(), Location(SlotsB, I)).asInt());
+        snapshotValue(OneShard.sharedState(), Location(SlotsB, I)).asInt());
 }

@@ -9,7 +9,7 @@
 
 #include "janus/stm/Detector.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -147,25 +147,25 @@ TEST(WriteSetDetectorTest, AddIsAReadModifyWrite) {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded runtime (Figure 7).
+// Threaded engine (Figure 7), one shard.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadedRuntimeTest, SingleTaskCommits) {
+TEST(ThreadedEngineTest, SingleTaskCommits) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{1, false, false});
+  ShardedRuntime R(W.Reg, D, ShardedConfig{.NumThreads = 1});
   R.run({[&W](TxContext &Tx) { Tx.write(Location(W.Work), Value::of(42)); }});
   EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(42));
   EXPECT_EQ(R.stats().Commits.load(), 1u);
   EXPECT_EQ(R.stats().Retries.load(), 0u);
 }
 
-TEST(ThreadedRuntimeTest, AtomicityOfReadModifyWrite) {
+TEST(ThreadedEngineTest, AtomicityOfReadModifyWrite) {
   // The classic lost-update test: N tasks each read x and write x+1.
   // Under any interleaving the final value must be N.
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{4, false, false});
+  ShardedRuntime R(W.Reg, D, ShardedConfig{.NumThreads = 4});
   const int N = 60;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -180,10 +180,10 @@ TEST(ThreadedRuntimeTest, AtomicityOfReadModifyWrite) {
   EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(N));
 }
 
-TEST(ThreadedRuntimeTest, SemanticAddsReplayCorrectly) {
+TEST(ThreadedEngineTest, SemanticAddsReplayCorrectly) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{4, false, false});
+  ShardedRuntime R(W.Reg, D, ShardedConfig{.NumThreads = 4});
   const int N = 50;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -195,13 +195,14 @@ TEST(ThreadedRuntimeTest, SemanticAddsReplayCorrectly) {
             Value::of(N * (N + 1) / 2));
 }
 
-TEST(ThreadedRuntimeTest, OrderedRunMatchesSequentialFinalState) {
+TEST(ThreadedEngineTest, OrderedRunMatchesSequentialFinalState) {
   // Tasks write their id to a shared cell; in-order execution must end
   // with the last task's id, exactly like the sequential loop.
   for (unsigned Threads : {1u, 2u, 4u}) {
     World W;
     WriteSetDetector D;
-    ThreadedRuntime R(W.Reg, D, ThreadedConfig{Threads, true, false});
+    ShardedRuntime R(W.Reg, D,
+                     ShardedConfig{.NumThreads = Threads, .Ordered = true});
     const int N = 25;
     std::vector<TaskFn> Tasks;
     for (int I = 1; I <= N; ++I)
@@ -217,10 +218,11 @@ TEST(ThreadedRuntimeTest, OrderedRunMatchesSequentialFinalState) {
   }
 }
 
-TEST(ThreadedRuntimeTest, StatePersistsAcrossRuns) {
+TEST(ThreadedEngineTest, StatePersistsAcrossRuns) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{2, true, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 2, .Ordered = true});
   R.run({[&W](TxContext &Tx) { Tx.add(Location(W.Work), 5); }});
   R.run({[&W](TxContext &Tx) { Tx.add(Location(W.Work), 7); },
          [&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); }});
@@ -228,11 +230,12 @@ TEST(ThreadedRuntimeTest, StatePersistsAcrossRuns) {
   EXPECT_EQ(R.stats().Commits.load(), 3u);
 }
 
-TEST(ThreadedRuntimeTest, LogReclamationBoundsHistory) {
+TEST(ThreadedEngineTest, LogReclamationBoundsHistory) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime NoReclaim(W.Reg, D, ThreadedConfig{1, false, false});
-  ThreadedRuntime Reclaim(W.Reg, D, ThreadedConfig{1, false, true});
+  ShardedRuntime NoReclaim(W.Reg, D, ShardedConfig{.NumThreads = 1});
+  ShardedRuntime Reclaim(W.Reg, D,
+                         ShardedConfig{.NumThreads = 1, .ReclaimLogs = true});
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != 30; ++I)
     Tasks.push_back([&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); });
@@ -293,11 +296,12 @@ TEST_P(ThreadedSerializability, OrderedEqualsSequential) {
 
   // Sequential reference.
   WriteSetDetector DSeq;
-  ThreadedRuntime Seq(W.Reg, DSeq, ThreadedConfig{1, false, false});
+  ShardedRuntime Seq(W.Reg, DSeq, ShardedConfig{.NumThreads = 1});
   Seq.run(Tasks);
 
   WriteSetDetector DPar;
-  ThreadedRuntime Par(W.Reg, DPar, ThreadedConfig{Threads, true, false});
+  ShardedRuntime Par(W.Reg, DPar,
+                     ShardedConfig{.NumThreads = Threads, .Ordered = true});
   Par.run(Tasks);
 
   EXPECT_TRUE(Par.sharedState() == Seq.sharedState());
@@ -449,10 +453,10 @@ TEST(SimRuntimeTest, SpeedupReflectsInstrumentationOverheadOnOneCore) {
 // Additional protocol edge cases.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadedRuntimeTest, HighThreadCountStress) {
+TEST(ThreadedEngineTest, HighThreadCountStress) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{8, false, false});
+  ShardedRuntime R(W.Reg, D, ShardedConfig{.NumThreads = 8});
   const int N = 200;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -469,10 +473,10 @@ TEST(ThreadedRuntimeTest, HighThreadCountStress) {
               Value::of(I));
 }
 
-TEST(ThreadedRuntimeTest, CommitOrderCoversEveryTaskExactlyOnce) {
+TEST(ThreadedEngineTest, CommitOrderCoversEveryTaskExactlyOnce) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D, ThreadedConfig{4, false, false});
+  ShardedRuntime R(W.Reg, D, ShardedConfig{.NumThreads = 4});
   const int N = 40;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -612,11 +616,11 @@ TEST(SimRuntimeTest, TraceRecordsAbortThenRetryWithFreshLogs) {
   }
 }
 
-TEST(ThreadedRuntimeTest, TraceCoversEveryTaskExactlyOnce) {
+TEST(ThreadedEngineTest, TraceCoversEveryTaskExactlyOnce) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D,
-                    ThreadedConfig{4, false, false, /*RecordTrace=*/true});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 4, .RecordTrace = true});
   Location L(W.Work);
   std::vector<TaskFn> Tasks(32, [&](TxContext &Tx) { Tx.add(L, 1); });
   R.run(Tasks);
@@ -636,11 +640,11 @@ TEST(ThreadedRuntimeTest, TraceCoversEveryTaskExactlyOnce) {
   EXPECT_EQ(snapshotValue(R.sharedState(), L), Value::of(int64_t(32)));
 }
 
-TEST(ThreadedRuntimeTest, TraceResetsBetweenRuns) {
+TEST(ThreadedEngineTest, TraceResetsBetweenRuns) {
   World W;
   WriteSetDetector D;
-  ThreadedRuntime R(W.Reg, D,
-                    ThreadedConfig{2, false, false, /*RecordTrace=*/true});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 2, .RecordTrace = true});
   Location L(W.Work);
   std::vector<TaskFn> Tasks(5, [&](TxContext &Tx) { Tx.add(L, 1); });
   R.run(Tasks);
@@ -652,7 +656,7 @@ TEST(ThreadedRuntimeTest, TraceResetsBetweenRuns) {
   EXPECT_EQ(snapshotValue(R.trace().Final, L), Value::of(int64_t(10)));
 }
 
-TEST(ThreadedRuntimeTest, ConcurrentReclamationNeverDropsVisibleLogs) {
+TEST(ThreadedEngineTest, ConcurrentReclamationNeverDropsVisibleLogs) {
   // Races eager log reclamation against many in-flight readers: tiny
   // history segments force the epoch head across segment boundaries
   // constantly, while write-set conflicts on the shared counter keep
@@ -662,11 +666,11 @@ TEST(ThreadedRuntimeTest, ConcurrentReclamationNeverDropsVisibleLogs) {
   // test rather than passing silently.
   World W;
   WriteSetDetector D;
-  ThreadedConfig Cfg;
+  ShardedConfig Cfg;
   Cfg.NumThreads = 8;
   Cfg.ReclaimLogs = true;
   Cfg.HistorySegmentRecords = 4;
-  ThreadedRuntime R(W.Reg, D, Cfg);
+  ShardedRuntime R(W.Reg, D, Cfg);
   const int N = 300;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)

@@ -38,12 +38,15 @@
 #      serve_soak --quick checks committed throughput holds within
 #      tolerance under 4x admission-controlled overload.
 #  10. flight recorder + replay: every workload is recorded under the
-#      stage-5 chaos plan on both the threaded and the sharded engine
+#      stage-5 chaos plan on the threaded engine at 1 and 8 shards
 #      (--record-out), each dump must satisfy tools/check_trace.py's
 #      binary checks, and `janus replay` must re-execute it with a
 #      bit-identical commit order and dense clock sequence plus a clean
 #      audit (exit 0); a seeded-divergence probe (--probe-divergence)
-#      must exit nonzero to prove the comparison has teeth.
+#      must exit nonzero to prove the comparison has teeth;
+#  11. build matrix: a Release build (-DCMAKE_BUILD_TYPE=Release) and a
+#      lean build (-DJANUS_OBS=OFF), each in its own build directory,
+#      must compile under -Werror and pass ctest.
 #
 # Usage: tools/ci.sh [JOBS]   (JOBS defaults to nproc)
 set -eu
@@ -66,22 +69,24 @@ check_build_tree() {
 }
 check_build_tree "$REPO_ROOT/build"
 check_build_tree "$REPO_ROOT/build-tsan"
+check_build_tree "$REPO_ROOT/build-release"
+check_build_tree "$REPO_ROOT/build-obs-off"
 
-echo "== [1/10] plain build + tests =="
+echo "== [1/11] plain build + tests =="
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT" >/dev/null
 cmake --build "$REPO_ROOT/build" -j "$JOBS"
 (cd "$REPO_ROOT/build" && ctest --output-on-failure -j "$JOBS")
 
-echo "== [2/10] static analysis =="
+echo "== [2/11] static analysis =="
 "$REPO_ROOT/tools/lint.sh" "$REPO_ROOT/build"
 
-echo "== [3/10] ThreadSanitizer build + tests =="
+echo "== [3/11] ThreadSanitizer build + tests =="
 cmake -B "$REPO_ROOT/build-tsan" -S "$REPO_ROOT" \
       -DJANUS_SANITIZE=thread >/dev/null
 cmake --build "$REPO_ROOT/build-tsan" -j "$JOBS"
 (cd "$REPO_ROOT/build-tsan" && ctest --output-on-failure -j "$JOBS")
 
-echo "== [4/10] hindsight audit of all workloads =="
+echo "== [4/11] hindsight audit of all workloads =="
 for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka HashChurn SSCA2; do
   for E in sim threads; do
     echo "-- audit $W ($E)"
@@ -93,7 +98,7 @@ for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka HashChurn SSCA2; do
     --shards 8 | tail -2
 done
 
-echo "== [5/10] chaos audit under fault injection =="
+echo "== [5/11] chaos audit under fault injection =="
 # Every task's first attempt is force-aborted, task 2's first attempt
 # throws, every second attempt's commit is delayed, and the trainer's
 # SAT cross-check is starved to 4 conflicts. The run must still commit
@@ -115,7 +120,7 @@ for W in JGraphT-1 HashChurn SSCA2; do
     --engine threads --shards 8 | tail -2
 done
 
-echo "== [6/10] static verification of trained tables =="
+echo "== [6/11] static verification of trained tables =="
 for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka HashChurn SSCA2; do
   TABLE="$REPO_ROOT/build/ci_table_$W.txt"
   echo "-- train + verify $W"
@@ -139,7 +144,7 @@ if "$REPO_ROOT/build/tools/janus" verify --workload HashChurn --rounds 1 \
 fi
 echo "spec conviction probe: convicted as expected."
 
-echo "== [7/10] observability: traced runs + trace validation =="
+echo "== [7/11] observability: traced runs + trace validation =="
 for E in sim threads; do
   TRACE="$REPO_ROOT/build/ci_trace_$E.json"
   REPORT="$REPO_ROOT/build/ci_report_$E.json"
@@ -158,7 +163,7 @@ HEAT_TRACE="$REPO_ROOT/build/ci_trace_heat.json"
   --threads 4 --top 5 --by-object --trace-out "$HEAT_TRACE" | tail -6
 python3 "$REPO_ROOT/tools/check_trace.py" "$HEAT_TRACE"
 
-echo "== [8/10] perf smoke (micro_commit --quick, incl. shard sweep) =="
+echo "== [8/11] perf smoke (micro_commit --quick, incl. shard sweep) =="
 "$REPO_ROOT/build/bench/micro_commit" --quick \
   --json-out="$REPO_ROOT/build/BENCH_micro_commit_smoke.json" >/dev/null
 echo "perf smoke: completed (see build/BENCH_micro_commit_smoke.json)"
@@ -178,7 +183,7 @@ if [ -f "$REPO_ROOT/BENCH_micro_commit.json" ]; then
     --min-ns="${JANUS_PERF_MIN_NS:-1000}"
 fi
 
-echo "== [9/10] service soak: janus serve under chaos, graceful drain =="
+echo "== [9/11] service soak: janus serve under chaos, graceful drain =="
 # Client-coordinate chaos: every client's 7th submission is shed at
 # admission, client 3's first submission gets an injected throw, and
 # the task-coordinate clauses abort every first attempt and delay every
@@ -199,10 +204,10 @@ echo "-- serve_soak --quick (admission-control overload gate)"
 "$REPO_ROOT/build/bench/serve_soak" --quick \
   --json-out="$REPO_ROOT/build/BENCH_serve_soak_smoke.json" | tail -4
 
-echo "== [10/10] flight recorder + deterministic replay =="
+echo "== [10/11] flight recorder + deterministic replay =="
 # Record every workload under the stage-5 chaos plan — first attempts
 # force-aborted, injected throws, delayed commits, a starved SAT budget
-# — on the classic threaded engine and on the sharded pipeline, then
+# — on the threaded engine at 1 and 8 shards, then
 # validate each dump and replay it in the simulator. The replayed
 # commit order and dense clock sequence must match the recording bit
 # for bit and the hindsight audit of the replayed trace must be CLEAN.
@@ -228,5 +233,18 @@ if "$REPO_ROOT/build/tools/janus" replay \
   exit 1
 fi
 echo "divergence probe: diverged as expected."
+
+echo "== [11/11] build matrix: Release and JANUS_OBS=OFF =="
+# Every build configuration the CMake file offers must build and pass.
+# Release compiles at -O3, where GCC reports warnings (-Wrestrict) the
+# default RelWithDebInfo build does not; the lean build compiles
+# observability out but must keep record/replay working.
+for CFG in "release -DCMAKE_BUILD_TYPE=Release" "obs-off -DJANUS_OBS=OFF"; do
+  DIR="$REPO_ROOT/build-${CFG%% *}"
+  echo "-- ${CFG#* } ($DIR)"
+  cmake -B "$DIR" -S "$REPO_ROOT" ${CFG#* } >/dev/null
+  cmake --build "$DIR" -j "$JOBS"
+  (cd "$DIR" && ctest --output-on-failure -j "$JOBS")
+done
 
 echo "ci: all stages passed."

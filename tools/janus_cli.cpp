@@ -50,9 +50,9 @@
 /// Run options:
 ///   --threads N         worker threads / simulated cores (default 8)
 ///   --shards N          commit-pipeline shards for the threaded engine
-///                       (default 1 = classic single commit point; >1
-///                       selects the location-sharded engine, rounded
-///                       up to a power of two; see DESIGN.md §11)
+///                       (default 1 = a single commit point; >1 splits
+///                       it by location, rounded up to a power of two;
+///                       see DESIGN.md §11)
 ///   --detector seq|ws   conflict detection algorithm (default seq)
 ///   --specs on|off|only per-ADT spec-table fast path (default on):
 ///                       tier 1 answers commutativity from the

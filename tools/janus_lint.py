@@ -8,7 +8,7 @@ correctness argument depends on but that no compiler checks:
      Every member operation on a variable *declared* `std::atomic` in
      the same file must pass an explicit std::memory_order argument.
      The seq_cst defaults would be correct but hide the proof: the
-     hazard-slot argument in ThreadedRuntime.cpp depends on knowing
+     hazard-slot argument in ShardedRuntime.cpp depends on knowing
      exactly which accesses are seq_cst. StripedCounter/Counter
      wrappers expose a `.load()` of their own and are exempt because
      their names are never declared `std::atomic` (the stripes inside
@@ -18,9 +18,8 @@ correctness argument depends on but that no compiler checks:
      `Published.load(...)` is an epoch-protected snapshot-pointer read:
      it may only appear in a function that first either acquires a
      CommitMutex (a guard or manual .lock() over the epoch's free
-     path) or publishes a hazard — `Begin.store(...)` in the unsharded
-     runtime, a `Hazards[shard]` slot in the sharded one (DESIGN.md
-     §11.2). A bare read races reclaimStates().
+     path) or publishes a `Hazards[shard]` slot (DESIGN.md §11.2). A
+     bare read races recycleShardStates().
 
   R3 lock-hierarchy
      The documented hierarchy is single-level: OrderMutex and
@@ -76,8 +75,9 @@ GUARD_DECL = re.compile(
     r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\s*<[^>]*>\s*"
     r"\w+\s*\(\s*([\w.\[\]\->]+)\s*[),]"
 )
-# The documented hierarchy roots (ThreadedRuntime.h). Shard mutexes are
-# leaves; matching plain "Mutex" members through S./S-> catches them.
+# The documented hierarchy roots (ShardedRuntime.h). Detector-cache
+# shard mutexes are leaves; matching plain "Mutex" members through
+# S./S-> catches them.
 HIERARCHY = ("CommitMutex", "OrderMutex")
 FUNC_START = re.compile(r"^[A-Za-z_~].*\(")
 ALLOW = re.compile(r"JANUS_LINT_ALLOW\((\w[\w-]*)\)\s*:\s*\S")
@@ -194,7 +194,7 @@ def lint_file(path, raw_lines):
     )
 
     # Function-scoped state, reset at every column-0 definition line.
-    hazard_ok = False  # R2: saw CommitMutex guard or Begin.store
+    hazard_ok = False  # R2: saw a CommitMutex guard or a hazard slot
     obs_gated = False  # R4: saw janusObs(
     depth = 0
     guard_stack = []  # R3: (mutex name, brace depth at acquisition)
@@ -220,7 +220,7 @@ def lint_file(path, raw_lines):
                     idx,
                     "lock-hierarchy",
                     f"acquiring {name} while holding {held} "
-                    "(hierarchy is single-level; see ThreadedRuntime.h)",
+                    "(hierarchy is single-level; see ShardedRuntime.h)",
                 )
             if tracked:
                 guard_stack.append((name, depth))
@@ -242,10 +242,8 @@ def lint_file(path, raw_lines):
             hazard_ok = True
         if re.search(r"\bCommitMutex\s*\.\s*lock\s*\(", clean):
             hazard_ok = True
-        if re.search(r"\bBegin\s*\.\s*store\s*\(", clean):
-            hazard_ok = True
-        # Sharded runtime: publishing (or aliasing) a per-shard hazard
-        # slot protects subsequent Published reads the same way.
+        # Publishing (or aliasing) a per-shard hazard slot protects
+        # subsequent Published reads the same way.
         if re.search(r"\bHazards\s*\[", clean):
             hazard_ok = True
 
@@ -256,7 +254,7 @@ def lint_file(path, raw_lines):
                     idx,
                     "snapshot-hazard-scope",
                     "Published.load() without a preceding CommitMutex "
-                    "guard or Begin.store() hazard in this function",
+                    "guard or Hazards[] slot in this function",
                 )
 
         # --- R1: atomic ops need an explicit memory order.
