@@ -81,7 +81,7 @@ janus::analysis::checkDivergence(const stm::ReplaySchedule &Sched,
   // emits them in schedule order, skipping non-conflict aborts).
   std::vector<const stm::ReplayStep *> ConflictSteps;
   for (const stm::ReplayStep &S : Sched.Steps)
-    if (!S.Committed && S.AbortReason == obs::RecAbortConflict)
+    if (!S.Committed && S.AbortReason == obs::AbortReason::Conflict)
       ConflictSteps.push_back(&S);
   if (ConflictSteps.size() != Aborts.size()) {
     Finding("the recording holds " + std::to_string(ConflictSteps.size()) +

@@ -165,17 +165,7 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
     Outcome.ParallelTime = Sim.ParallelTime;
     Outcome.SequentialTime = Sim.SequentialTime;
     Outcome.Failures = std::move(Sim.Failures);
-    Stats.Tasks += Runtime.stats().Tasks.load();
-    Stats.Commits += Runtime.stats().Commits.load();
-    Stats.Retries += Runtime.stats().Retries.load();
-    Stats.ConflictChecks += Runtime.stats().ConflictChecks.load();
-    Stats.TraceEvents += Runtime.stats().TraceEvents.load();
-    Stats.EscapedAccesses += Runtime.stats().EscapedAccesses.load();
-    Stats.SerialFallbacks += Runtime.stats().SerialFallbacks.load();
-    Stats.TaskExceptions += Runtime.stats().TaskExceptions.load();
-    Stats.TaskFailures += Runtime.stats().TaskFailures.load();
-    Stats.FaultsInjected += Runtime.stats().FaultsInjected.load();
-    Stats.CancelledTasks += Runtime.stats().CancelledTasks.load();
+    Stats.mergeFrom(Runtime.stats());
     return Outcome;
   }
 
@@ -226,20 +216,6 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
   if (Config.RecordTrace)
     Trace = Runtime.trace();
   Outcome.Failures = Runtime.failures();
-  const stm::RunStats &R = Runtime.stats();
-  Stats.Tasks += R.Tasks.load();
-  Stats.Commits += R.Commits.load();
-  Stats.Retries += R.Retries.load();
-  Stats.ConflictChecks += R.ConflictChecks.load();
-  Stats.ValidationFailures += R.ValidationFailures.load();
-  Stats.TraceEvents += R.TraceEvents.load();
-  Stats.EscapedAccesses += R.EscapedAccesses.load();
-  Stats.SerialFallbacks += R.SerialFallbacks.load();
-  Stats.TaskExceptions += R.TaskExceptions.load();
-  Stats.TaskFailures += R.TaskFailures.load();
-  Stats.FaultsInjected += R.FaultsInjected.load();
-  Stats.CrossShardCommits += R.CrossShardCommits.load();
-  Stats.EmptyCommits += R.EmptyCommits.load();
-  Stats.CancelledTasks += R.CancelledTasks.load();
+  Stats.mergeFrom(Runtime.stats());
   return Outcome;
 }

@@ -52,18 +52,37 @@ namespace obs {
 enum class RecKind : uint8_t {
   Begin = 1,        ///< Attempt began; Clock = clock at CREATETRANSACTION.
   Commit = 2,       ///< Attempt committed; Clock = dense CommitTime.
-  Abort = 3,        ///< Attempt aborted; Aux = RecAbort* reason.
+  Abort = 3,        ///< Attempt aborted; Aux = AbortReason.
   ShardAcquire = 4, ///< Lazy shard acquisition; Aux = shard, Clock = stamp.
-  Escalation = 5,   ///< CM escalated (Aux = ladder action ordinal).
+  Escalation = 5,   ///< CM escalated (Aux = ContentionManager::Action
+                    ///< ordinal: 1 serial, 2 fail).
   Cancel = 6,       ///< Cooperative cancellation (Aux = CancelReason).
   ServeTag = 7,     ///< Serve batch member: Aux = client, Clock = SubId.
 };
 
-/// Abort reasons (RecKind::Abort's Aux field).
-inline constexpr uint32_t RecAbortConflict = 1;
-inline constexpr uint32_t RecAbortInjected = 2;
-inline constexpr uint32_t RecAbortException = 3;
-inline constexpr uint32_t RecAbortCancelled = 4;
+/// Why an attempt aborted. The values are RecKind::Abort's Aux field
+/// and part of the `.jrec` format (append only); toString() names the
+/// note of the `abort` span instant.
+enum class AbortReason : uint32_t {
+  Conflict = 1,  ///< The detector found a conflict in the window.
+  Injected = 2,  ///< A FaultPlan `abort@` clause forced the abort.
+  Exception = 3, ///< The task body threw.
+  Cancelled = 4, ///< The task's cancellation token fired.
+};
+
+inline const char *toString(AbortReason R) {
+  switch (R) {
+  case AbortReason::Conflict:
+    return "conflict";
+  case AbortReason::Injected:
+    return "injected";
+  case AbortReason::Exception:
+    return "exception";
+  case AbortReason::Cancelled:
+    return "cancelled";
+  }
+  return "?";
+}
 
 /// One fixed-size record. 40 bytes; encoded little-endian field by
 /// field (Recorder.cpp), so the in-memory layout never leaks into the

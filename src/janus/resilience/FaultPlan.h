@@ -8,17 +8,24 @@
 /// across thread interleavings, which is what makes an injected run
 /// repeatable: the same plan applied twice produces the same forced
 /// aborts, the same injected exceptions and the same escalation
-/// decisions on both engines. The runtimes consult the plan at four
-/// choke points:
+/// decisions on both engines. Attempts are numbered across every
+/// execution of a task: the irrevocable serial fallback runs as
+/// attempt aborts + throws + 1, so a coordinate can name it too. The
+/// runtimes (through stm::Lifecycle) consult the plan at four choke
+/// points:
 ///
-///   - `forceAbort`    — the attempt is aborted as if the detector had
-///                       found a conflict (before detection runs);
+///   - `forceAbort`    — a speculative attempt is aborted as if the
+///                       detector had found a conflict (before
+///                       detection runs); a serial attempt cannot
+///                       abort, so it ignores this clause;
 ///   - `throwTask`     — the attempt raises an `InjectedFault` in place
 ///                       of the task body, exercising the
-///                       exception-abort path;
-///   - `commitDelay`   — the commit is delayed (wall-clock microseconds
-///                       on the threaded engine, virtual cost units on
-///                       the simulator), widening conflict windows;
+///                       exception-abort path (a serial attempt that
+///                       throws fails its task);
+///   - `commitDelay`   — the commit of a speculative or serial attempt
+///                       is delayed (wall-clock microseconds on the
+///                       threaded engine, virtual cost units on the
+///                       simulator), widening conflict windows;
 ///   - `satConflictBudget` — the trainer/relational SAT cross-check
 ///                       budget is clamped, forcing "unknown → be
 ///                       conservative" outcomes.

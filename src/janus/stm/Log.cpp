@@ -3,6 +3,11 @@
 using namespace janus;
 using namespace janus::stm;
 
+const TxLogRef &stm::emptyTxLog() {
+  static const TxLogRef Empty = std::make_shared<const TxLog>();
+  return Empty;
+}
+
 AccessSets stm::accessSets(const TxLog &Log) {
   AccessSets Sets;
   for (const LogEntry &E : Log) {

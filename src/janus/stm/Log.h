@@ -39,6 +39,10 @@ using TxLog = std::vector<LogEntry>;
 /// hands out references without copying).
 using TxLogRef = std::shared_ptr<const TxLog>;
 
+/// The one shared empty log: thrown attempts, empty commits and
+/// placeholders all reference it instead of allocating.
+const TxLogRef &emptyTxLog();
+
 /// Location sets used by the write-set heuristic. An Add counts as both
 /// a read and a write (a read-modify-write at memory level).
 struct AccessSets {

@@ -13,7 +13,7 @@ namespace {
 uint64_t decisionClock(const ReplayStep &S) {
   if (S.Committed)
     return S.CommitTime;
-  return S.AbortReason == obs::RecAbortConflict ? S.End : S.Begin;
+  return S.AbortReason == obs::AbortReason::Conflict ? S.End : S.Begin;
 }
 
 } // namespace
@@ -151,14 +151,14 @@ bool janus::stm::buildReplaySchedule(const std::vector<obs::RecEvent> &Events,
       }
     } else {
       S.Committed = false;
-      S.AbortReason = E.Aux;
+      S.AbortReason = static_cast<obs::AbortReason>(E.Aux);
       if (!A || !A->HasBegin)
         return Fail("task " + std::to_string(E.Tid) + " attempt " +
                     std::to_string(E.Attempt) +
                     " aborted without a begin event (recording incomplete)");
       if (!Normalize(A->BeginClock, "begin", &S.Begin))
         return false;
-      if (S.AbortReason == obs::RecAbortConflict) {
+      if (S.AbortReason == obs::AbortReason::Conflict) {
         if (!Normalize(E.Clock, "detect-end", &S.End))
           return false;
         if (S.End < S.Begin)

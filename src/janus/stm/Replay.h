@@ -57,8 +57,8 @@ struct ReplayStep {
   /// the conflict — the upper bound of the window (Begin, End] the
   /// attempt conflicted with.
   uint64_t End = 0;
-  /// Aborted attempts: obs::RecAbort* reason.
-  uint32_t AbortReason = 0;
+  /// Aborted attempts: why they aborted.
+  obs::AbortReason AbortReason{};
   /// Committed attempts: stm::CommitMode raw value.
   uint8_t Mode = 0;
   /// Recorder sequence number (tie-break for steps sharing a clock).

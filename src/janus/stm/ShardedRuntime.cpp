@@ -41,13 +41,6 @@ static void cancellableBackoff(uint64_t Micros,
   }
 }
 
-/// The shared empty log: empty-commit fast paths and placeholders all
-/// reference one immutable instance instead of allocating per commit.
-static TxLogRef emptyTxLog() {
-  static const TxLogRef Empty = std::make_shared<const TxLog>();
-  return Empty;
-}
-
 /// Rounds the requested shard count up to a power of two in
 /// [1, MaxShards] (shard routing masks the location hash).
 static uint32_t normalizeShardCount(unsigned Requested) {
@@ -247,43 +240,6 @@ void ShardedRuntime::releaseAttempt(WorkerSlot &Worker, uint64_t Mask) {
   }
 }
 
-void ShardedRuntime::recordEvent(WorkerSlot &Worker, uint32_t Tid,
-                                 uint64_t Mask, uint64_t FallbackBegin,
-                                 uint64_t Commit, bool Committed, TxLogRef Log,
-                                 CommitMode Mode) {
-  if (!Config.RecordTrace)
-    return;
-  TraceEvent E;
-  E.Tid = Tid;
-  E.CommitTime = Commit;
-  E.Committed = Committed;
-  E.Log = std::move(Log);
-  E.Mode = Mode;
-  uint64_t Begin = FallbackBegin;
-  if (Mask) {
-    Begin = ~uint64_t{0};
-    const bool Single = (Mask & (Mask - 1)) == 0;
-    Snapshot Merged;
-    for (uint64_t M = Mask; M;) {
-      const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-      M &= M - 1;
-      const ShardBackend::View &V = Worker.Views[S];
-      E.ShardBegins.emplace_back(S, V.Stamp);
-      Begin = std::min(Begin, V.Stamp);
-      if (Single)
-        Merged = V.Entry;
-      else
-        V.Entry.forEach([&Merged](const Location &L, const Value &Val) {
-          Merged = Merged.set(L, Val);
-        });
-    }
-    E.Entry = std::move(Merged);
-  }
-  E.BeginTime = Begin;
-  Worker.Events.push_back(std::move(E));
-  ++Stats.TraceEvents;
-}
-
 void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
   if (!Config.Ordered)
     return;
@@ -355,111 +311,59 @@ void ShardedRuntime::recycleShardStates(uint32_t S) {
     Sh.History->reclaimUpTo(Sh.Oldest->Version);
 }
 
-ShardedRuntime::AttemptResult
-ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
-                        unsigned Lane, WorkerSlot &Worker,
-                        std::string *ThrowMsg) {
-  obs::Observer *const O = obs::janusObs(Config.Obs);
-  const bool Sampled = O && O->sampled(Tid);
-  const double AttemptTs = Sampled ? O->nowUs() : 0.0;
+std::optional<Lifecycle::Next>
+ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t No,
+                        unsigned Lane, WorkerSlot &Worker, Lifecycle &LC) {
   // CREATETRANSACTION is distributed: no shard is touched until the
   // body's first access routes there (TxContext::stateFor →
-  // acquireShard). The clock here only anchors the trace record of a
+  // acquireShard). The begin clock only anchors the record of a
   // transaction that ends up touching no shard at all.
-  const uint64_t ClockAtBegin = Clock.load(std::memory_order_acquire);
+  Lifecycle::Attempt A =
+      LC.begin(Lane, Tid, No, Clock.load(std::memory_order_acquire));
+  obs::Observer *const O = obs::janusObs(A.Obs);
+  A.StartTs = A.now();
 
   AttemptBackend Backend(*this, Worker);
   TxContext Tx(Backend, Tid, Reg, &Stats);
-  const double BodyTs = Sampled ? O->nowUs() : 0.0;
-  bool Threw = false;
-  try {
-    if (Config.Faults.throwTask(Tid, Attempt)) {
-      ++Stats.FaultsInjected;
-      throw resilience::InjectedFault("injected task exception");
-    }
-    Task(Tx);
-  } catch (const std::exception &E) {
-    Threw = true;
-    if (ThrowMsg)
-      *ThrowMsg = E.what();
-  } catch (...) {
-    Threw = true;
-    if (ThrowMsg)
-      *ThrowMsg = "unknown exception";
-  }
+  const double BodyTs = A.now();
+  std::string ThrowMsg;
+  const bool Ran = LC.runBody(Task, Tx, A, ThrowMsg);
   Tx.endAttempt();
   const uint64_t Mask = Tx.accessedShards();
-  // Flight recorder: one begin + one shard-acquire per touched shard +
-  // the terminal event, emitted together at the attempt's end while the
-  // views (and their acquisition stamps) are still live — the same
-  // harvest recordEvent performs for the audit trace.
-  obs::Recorder *const Rec = obs::janusRec(Config.Rec);
-  const bool RecOn = Rec && Rec->sampled(Tid);
-  auto RecAttempt = [&](obs::RecKind Kind, uint64_t TermClock, uint32_t Aux,
-                        uint8_t TermMode) {
-    if (!RecOn)
-      return;
-    Rec->record(Lane, obs::RecKind::Begin, Tid, Attempt, ClockAtBegin);
-    for (uint64_t M = Mask; M;) {
-      const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-      M &= M - 1;
-      Rec->record(Lane, obs::RecKind::ShardAcquire, Tid, Attempt,
-                  Worker.Views[S].Stamp, S);
-    }
-    Rec->record(Lane, Kind, Tid, Attempt, TermClock, Aux, TermMode);
-  };
-  if (Sampled) {
-    O->span(Lane, "begin", Tid, Attempt, AttemptTs, BodyTs - AttemptTs,
-            "clock", static_cast<double>(ClockAtBegin));
-    O->span(Lane, "body", Tid, Attempt, BodyTs, O->nowUs() - BodyTs, "shards",
+  if (O) {
+    O->span(Lane, "begin", Tid, No, A.StartTs, BodyTs - A.StartTs, "clock",
+            static_cast<double>(A.BeginClock));
+    O->span(Lane, "body", Tid, No, BodyTs, O->nowUs() - BodyTs, "shards",
             static_cast<double>(std::popcount(Mask)));
   }
-  if (Threw) {
-    ++Stats.TaskExceptions;
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "exception");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortException, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                emptyTxLog());
+  // A thrown attempt's partial log is discarded.
+  TxLogRef Log = !Ran || Tx.log().empty()
+                     ? emptyTxLog()
+                     : std::make_shared<const TxLog>(Tx.log());
+  // The views (and their acquisition stamps) stay live until
+  // releaseAttempt, so every transition below reads them in place.
+  const AttemptState State{&Log, Worker.Views.data(), Mask};
+  auto Abort = [&](obs::AbortReason Why) {
+    Lifecycle::Next N = LC.abort(A, Why, State, A.now(),
+                                 Clock.load(std::memory_order_acquire),
+                                 ThrowMsg);
     releaseAttempt(Worker, Mask);
-    return AttemptResult::Thrown;
-  }
-  TxLogRef Log =
-      Tx.log().empty() ? emptyTxLog()
-                       : std::make_shared<const TxLog>(Tx.log());
-
-  if (Config.Faults.forceAbort(Tid, Attempt)) {
-    ++Stats.FaultsInjected;
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "injected");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortInjected, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                std::move(Log));
-    releaseAttempt(Worker, Mask);
-    return AttemptResult::Aborted;
-  }
-
+    return N;
+  };
+  if (!Ran)
+    return Abort(obs::AbortReason::Exception);
+  if (LC.forceAbort(A))
+    return Abort(obs::AbortReason::Injected);
   // Cooperative cancellation, before the ordered wait: a doomed
-  // attempt must not occupy its commit turn. The worker loop turns
-  // this into a placeholder-committed TaskFailure.
-  if (Config.Cancel &&
-      Config.Cancel->status(Tid) != resilience::CancelReason::None) {
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "cancelled");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortCancelled, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                std::move(Log));
-    releaseAttempt(Worker, Mask);
-    return AttemptResult::Cancelled;
-  }
+  // attempt must not occupy its commit turn.
+  if (LC.cancelled(Tid) != resilience::CancelReason::None)
+    return Abort(obs::AbortReason::Cancelled);
 
   // Ordered mode: wait for all preceding tasks to commit.
   waitForTurn(Tid, Worker);
 
-  if (uint64_t Delay = Config.Faults.commitDelay(Tid, Attempt)) {
-    ++Stats.FaultsInjected;
+  if (uint64_t Delay = LC.commitDelay(A))
     backoff(Delay);
-  }
 
   // Empty fast path: a transaction that touched no shard validates
   // vacuously and publishes nothing — its commit is one atomic tick
@@ -467,23 +371,14 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
   // turn arithmetic) dense. Allocation-free: the log reference above
   // is the shared empty log.
   if (Mask == 0) {
-    const double CommitTs = Sampled ? O->nowUs() : 0.0;
+    const double CommitTs = A.now();
     const uint64_t CommitTime =
         Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
     ++Stats.EmptyCommits;
     Worker.CommitLog.emplace_back(CommitTime, Tid);
-    if (Sampled) {
-      double End = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, End - CommitTs, "clock",
-              static_cast<double>(CommitTime));
-      O->commitLatency().record(End - AttemptTs);
-    }
-    RecAttempt(obs::RecKind::Commit, CommitTime, 0,
-               static_cast<uint8_t>(CommitMode::Speculative));
-    recordEvent(Worker, Tid, 0, ClockAtBegin, CommitTime, /*Committed=*/true,
-                std::move(Log));
+    LC.commit(A, CommitTime, State, CommitTs, A.now());
     notifySuccessor(CommitTime);
-    return AttemptResult::Committed;
+    return std::nullopt;
   }
 
   const bool Single = (Mask & (Mask - 1)) == 0;
@@ -502,8 +397,8 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     for (const LogEntry &E : *Log)
       Worker.Attempt[shardIndexOf(E.Loc, NumShards)].Projection.push_back(E);
     for (uint32_t I = 0; I != NumTouched; ++I) {
-      AttemptShard &A = Worker.Attempt[Touched[I]];
-      A.ProjRef = std::make_shared<const TxLog>(A.Projection);
+      AttemptShard &AS = Worker.Attempt[Touched[I]];
+      AS.ProjRef = std::make_shared<const TxLog>(AS.Projection);
     }
   }
 
@@ -517,7 +412,7 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     for (uint32_t I = 0; I != NumTouched && !Conflict; ++I) {
       const uint32_t S = Touched[I];
       Shard &Sh = Shards[S];
-      AttemptShard &A = Worker.Attempt[S];
+      AttemptShard &AS = Worker.Attempt[S];
       // Refresh the shard's published state (validated hazard
       // publication, as in acquireShard). The hazard moves forward to
       // the refreshed state; the entry state stays safe to *use*
@@ -529,22 +424,22 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
         P = Sh.Published.load(std::memory_order_seq_cst);
         Hz.store(P, std::memory_order_seq_cst);
       } while (Sh.Published.load(std::memory_order_seq_cst) != P);
-      A.Now = P;
+      AS.Now = P;
       const uint64_t NowVer = P->Version;
-      if (NowVer == A.Detected)
+      if (NowVer == AS.Detected)
         continue; // No new commits in this shard since the last round.
-      const double DetectTs = Sampled ? O->nowUs() : 0.0;
-      A.Window->collectUpTo(NowVer, A.OpsC);
+      const double DetectTs = A.now();
+      AS.Window->collectUpTo(NowVer, AS.OpsC);
       ++Stats.ConflictChecks;
-      const TxLog &Mine = Single ? *Log : A.Projection;
+      const TxLog &Mine = Single ? *Log : AS.Projection;
       const bool C =
-          Detector.detectConflicts(Worker.Views[S].Entry, Mine, A.OpsC, Reg);
-      A.Detected = NowVer;
-      if (Sampled) {
+          Detector.detectConflicts(Worker.Views[S].Entry, Mine, AS.OpsC, Reg);
+      AS.Detected = NowVer;
+      if (O) {
         double Dur = O->nowUs() - DetectTs;
         O->detectLatency().record(Dur);
-        O->span(Lane, "detect", Tid, Attempt, DetectTs, Dur, "window",
-                static_cast<double>(A.OpsC.size()));
+        O->span(Lane, "detect", Tid, No, DetectTs, Dur, "window",
+                static_cast<double>(AS.OpsC.size()));
       }
       if (C) {
         Conflict = true;
@@ -552,52 +447,44 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
       }
     }
     if (Conflict) {
-      if (O && !ShardAbortCounters.empty())
+      if (!ShardAbortCounters.empty())
         ++*ShardAbortCounters[ConflictShard];
-      if (Sampled)
-        O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "conflict");
       // Detect-end clock: the conflicting commit's global stamp is at
-      // most the clock read here (it published before detection saw
-      // it), so replay's window (begin, detect-end] covers it.
-      RecAttempt(obs::RecKind::Abort,
-                 Clock.load(std::memory_order_acquire),
-                 obs::RecAbortConflict, 0);
-      recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                  std::move(Log));
-      releaseAttempt(Worker, Mask);
-      return AttemptResult::Aborted;
+      // most the clock read in Abort (it published before detection
+      // saw it), so replay's window (begin, detect-end] covers it.
+      return Abort(obs::AbortReason::Conflict);
     }
 
     // REPLAYLOGGEDOPERATIONS per shard, outside every lock. When the
     // shard has not advanced since acquisition, the privatized view
     // already *is* entry-plus-log — an O(1) reuse that keeps the
     // single-shard fast path free of a second replay walk.
-    const double ReplayTs = Sampled ? O->nowUs() : 0.0;
+    const double ReplayTs = A.now();
     for (uint32_t I = 0; I != NumTouched; ++I) {
       const uint32_t S = Touched[I];
-      AttemptShard &A = Worker.Attempt[S];
-      const uint64_t NowVer = A.Now->Version;
-      if (A.ReplayedVersion == NowVer && NowVer != 0)
+      AttemptShard &AS = Worker.Attempt[S];
+      const uint64_t NowVer = AS.Now->Version;
+      if (AS.ReplayedVersion == NowVer && NowVer != 0)
         continue; // Still valid from the previous round.
-      if (NowVer == A.EntryVersion) {
-        A.Replayed = Worker.Views[S].Private;
+      if (NowVer == AS.EntryVersion) {
+        AS.Replayed = Worker.Views[S].Private;
       } else {
-        A.Replayed = A.Now->State;
-        const TxLog &Mine = Single ? *Log : A.Projection;
+        AS.Replayed = AS.Now->State;
+        const TxLog &Mine = Single ? *Log : AS.Projection;
         for (const LogEntry &E : Mine)
-          A.Replayed = applyToSnapshot(A.Replayed, E.Loc, E.Op);
+          AS.Replayed = applyToSnapshot(AS.Replayed, E.Loc, E.Op);
       }
-      A.ReplayedVersion = NowVer;
+      AS.ReplayedVersion = NowVer;
     }
-    if (Sampled)
-      O->span(Lane, "replay", Tid, Attempt, ReplayTs, O->nowUs() - ReplayTs,
-              "ops", static_cast<double>(Log->size()));
+    if (O)
+      O->span(Lane, "replay", Tid, No, ReplayTs, O->nowUs() - ReplayTs, "ops",
+              static_cast<double>(Log->size()));
 
     // COMMIT: two-phase acquire over exactly the touched shards, in
     // ascending shard order (a global order shared with the serial
     // fallback, so the multi-lock cannot deadlock). Validate all,
     // stamp one global clock tick, publish all, unlock in reverse.
-    const double CommitTs = Sampled ? O->nowUs() : 0.0;
+    const double CommitTs = A.now();
     for (uint32_t I = 0; I != NumTouched; ++I) {
       Shards[Touched[I]].CommitMutex.lock();
       // Torn-commit probe (fault injection): stall between successive
@@ -605,17 +492,14 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
       // two-phase protocol would let readers observe a partial
       // publication. The torn-commit test drives concurrent readers
       // through exactly this gap.
-      if (I + 1 != NumTouched) {
-        if (uint64_t D = Config.Faults.acquireDelay(Tid, Attempt)) {
-          ++Stats.FaultsInjected;
+      if (I + 1 != NumTouched)
+        if (uint64_t D = LC.acquireDelay(A))
           backoff(D);
-        }
-      }
     }
     bool Valid = true;
     for (uint32_t I = 0; I != NumTouched; ++I) {
       const uint32_t S = Touched[I];
-      // Pointer identity is exact here: A.Now is hazard-protected, so
+      // Pointer identity is exact here: AS.Now is hazard-protected, so
       // it cannot have been recycled and re-published.
       if (Shards[S].Published.load(std::memory_order_relaxed) !=
           Worker.Attempt[S].Now) {
@@ -627,8 +511,8 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
       for (uint32_t I = NumTouched; I--;)
         Shards[Touched[I]].CommitMutex.unlock();
       ++Stats.ValidationFailures;
-      if (Sampled)
-        O->instant(Lane, "validate-fail", Tid, Attempt, CommitTs);
+      if (O)
+        O->instant(Lane, "validate-fail", Tid, No, CommitTs);
       continue;
     }
     const uint64_t CommitTime =
@@ -636,16 +520,16 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     for (uint32_t I = 0; I != NumTouched; ++I) {
       const uint32_t S = Touched[I];
       Shard &Sh = Shards[S];
-      AttemptShard &A = Worker.Attempt[S];
-      const uint64_t Ver = A.Now->Version + 1;
-      Sh.History->append(Ver, Single ? Log : A.ProjRef);
+      AttemptShard &AS = Worker.Attempt[S];
+      const uint64_t Ver = AS.Now->Version + 1;
+      Sh.History->append(Ver, Single ? Log : AS.ProjRef);
       ShardState *Next = allocState(Sh);
       Next->GlobalTime = CommitTime;
       Next->Version = Ver;
-      Next->State = std::move(A.Replayed);
+      Next->State = std::move(AS.Replayed);
       Next->HistoryTail = Sh.History->tail();
       Next->Newer = nullptr;
-      A.Now->Newer = Next;
+      AS.Now->Newer = Next;
       Sh.Published.store(Next, std::memory_order_seq_cst);
       recycleShardStates(S);
     }
@@ -654,34 +538,23 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     if (!Single)
       ++Stats.CrossShardCommits;
     Worker.CommitLog.emplace_back(CommitTime, Tid);
-    if (O && !ShardCommitCounters.empty())
+    if (!ShardCommitCounters.empty())
       for (uint32_t I = 0; I != NumTouched; ++I)
         ++*ShardCommitCounters[Touched[I]];
-    if (Sampled) {
-      double End = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, End - CommitTs,
-              "shards", static_cast<double>(NumTouched));
-      O->commitLatency().record(End - AttemptTs);
-    }
-    RecAttempt(obs::RecKind::Commit, CommitTime, 0,
-               static_cast<uint8_t>(CommitMode::Speculative));
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, CommitTime,
-                /*Committed=*/true, std::move(Log));
+    LC.commit(A, CommitTime, State, CommitTs, A.now());
     releaseAttempt(Worker, Mask);
     notifySuccessor(CommitTime);
-    return AttemptResult::Committed;
+    return std::nullopt;
   }
 }
 
-void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
-                                  unsigned Lane, WorkerSlot &Worker) {
-  obs::Observer *const O = obs::janusObs(Config.Obs);
-  const bool Sampled = O && O->sampled(Tid);
-  const double SerialTs = Sampled ? O->nowUs() : 0.0;
+void ShardedRuntime::commitSerial(const TaskFn &Task, Lifecycle::Attempt A,
+                                  WorkerSlot &Worker, Lifecycle &LC) {
+  A.StartTs = A.now();
 
   // Ordered mode: wait for the turn *before* taking any lock — the
   // predecessor's commit needs its shard mutexes.
-  waitForTurn(Tid, Worker);
+  waitForTurn(A.Tid, Worker);
 
   // Lock *every* shard in ascending order: a strict superset of any
   // speculative committer's lock set in the same global order, so no
@@ -691,36 +564,25 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
     Shards[S].CommitMutex.lock();
 
   uint64_t Mask = 0;
-  TxLogRef Log;
-  CommitMode Mode = Task ? CommitMode::Serial : CommitMode::Placeholder;
-  if (Task) {
+  TxLogRef Log = emptyTxLog(); // A placeholder's: no effects survive.
+  if (A.Mode == CommitMode::Serial) {
     AttemptBackend Backend(*this, Worker);
-    TxContext Tx(Backend, Tid, Reg, &Stats);
-    try {
-      (*Task)(Tx);
-      Tx.endAttempt();
-      Log = std::make_shared<const TxLog>(Tx.log());
-    } catch (const std::exception &E) {
-      Tx.endAttempt();
-      ++Stats.TaskExceptions;
-      ++Stats.TaskFailures;
-      Worker.Failures.push_back(
-          resilience::TaskFailure{Tid, CM->attempts(Tid) + 1, E.what()});
-      Mode = CommitMode::Placeholder;
-    } catch (...) {
-      Tx.endAttempt();
-      ++Stats.TaskExceptions;
-      ++Stats.TaskFailures;
-      Worker.Failures.push_back(resilience::TaskFailure{
-          Tid, CM->attempts(Tid) + 1, "unknown exception"});
-      Mode = CommitMode::Placeholder;
-    }
+    TxContext Tx(Backend, A.Tid, Reg, &Stats);
+    std::string ThrowMsg;
+    const bool Ran = LC.runBody(Task, Tx, A, ThrowMsg);
+    Tx.endAttempt();
     Mask = Tx.accessedShards();
+    if (Ran) {
+      if (!Tx.log().empty())
+        Log = std::make_shared<const TxLog>(Tx.log());
+      if (uint64_t Delay = LC.commitDelay(A))
+        backoff(Delay);
+    } else {
+      LC.serialThrew(A, ThrowMsg, Clock.load(std::memory_order_acquire));
+    }
   }
-  if (!Log || Mode == CommitMode::Placeholder)
-    Log = emptyTxLog(); // Placeholder: no effects survive.
   const uint64_t CommitTime = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
-  const uint64_t EffectMask = Mode == CommitMode::Placeholder ? 0 : Mask;
+  const uint64_t EffectMask = A.Mode == CommitMode::Placeholder ? 0 : Mask;
   if (EffectMask) {
     const bool Single = (EffectMask & (EffectMask - 1)) == 0;
     if (!Single)
@@ -730,12 +592,12 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
       const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
       M &= M - 1;
       Shard &Sh = Shards[S];
-      AttemptShard &A = Worker.Attempt[S];
-      // Acquired under the full lock set, so A.Now is current and the
+      AttemptShard &AS = Worker.Attempt[S];
+      // Acquired under the full lock set, so AS.Now is current and the
       // privatized view is entry-plus-log of the live state.
-      const uint64_t Ver = A.Now->Version + 1;
+      const uint64_t Ver = AS.Now->Version + 1;
       TxLogRef ShardLog =
-          Single ? Log : std::make_shared<const TxLog>(A.Projection);
+          Single ? Log : std::make_shared<const TxLog>(AS.Projection);
       Sh.History->append(Ver, std::move(ShardLog));
       ShardState *Next = allocState(Sh);
       Next->GlobalTime = CommitTime;
@@ -743,40 +605,26 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
       Next->State = Worker.Views[S].Private;
       Next->HistoryTail = Sh.History->tail();
       Next->Newer = nullptr;
-      A.Now->Newer = Next;
+      AS.Now->Newer = Next;
       Sh.Published.store(Next, std::memory_order_seq_cst);
       recycleShardStates(S);
     }
-    if ((EffectMask & (EffectMask - 1)) != 0)
+    if (!Single)
       ++Stats.CrossShardCommits;
   }
   for (uint32_t S = NumShards; S--;)
     Shards[S].CommitMutex.unlock();
-  Worker.CommitLog.emplace_back(CommitTime, Tid);
-  if (Sampled) {
-    double End = O->nowUs();
-    O->span(Lane, "serial", Tid, /*Attempt=*/0, SerialTs, End - SerialTs,
-            "clock", static_cast<double>(CommitTime),
-            Mode == CommitMode::Placeholder ? "placeholder" : "fallback");
-    O->commitLatency().record(End - SerialTs);
-  }
-  // Serial/placeholder commits emit no begin or shard-acquire events —
-  // the replayer derives their entry (CommitTime - 1) from the mode.
-  if (obs::Recorder *R = obs::janusRec(Config.Rec))
-    if (R->sampled(Tid))
-      R->record(Lane, obs::RecKind::Commit, Tid, /*Attempt=*/0, CommitTime,
-                0, static_cast<uint8_t>(Mode));
-  recordEvent(Worker, Tid, EffectMask, CommitTime - 1, CommitTime,
-              /*Committed=*/true, std::move(Log), Mode);
+  Worker.CommitLog.emplace_back(CommitTime, A.Tid);
+  LC.commit(A, CommitTime, AttemptState{&Log, Worker.Views.data(), EffectMask},
+            A.StartTs, A.now());
   releaseAttempt(Worker, Mask);
   notifySuccessor(CommitTime);
 }
 
 void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
   Stats.Tasks += Tasks.size();
-  CM = std::make_unique<resilience::ContentionManager>(Config.Resilience,
-                                                       Tasks.size());
-  Failures.clear();
+  Lifecycle LC(Config, Stats, Tasks.size(),
+               static_cast<unsigned>(Workers.size()));
   if (Config.RecordTrace) {
     Trace.Recorded = true;
     Trace.Initial = sharedState();
@@ -786,97 +634,35 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
                   std::memory_order_release);
   std::atomic<size_t> NextTask{0};
 
-  auto Worker = [this, &Tasks, &NextTask](unsigned Slot) {
+  auto Worker = [this, &Tasks, &NextTask, &LC](unsigned Slot) {
     WorkerSlot &W = Workers[Slot];
-    obs::Observer *const O = obs::janusObs(Config.Obs);
-    auto BackoffTraced = [&](uint32_t Tid, uint32_t Attempt, uint64_t Micros,
-                             const char *Note) {
-      if (!O || !O->sampled(Tid)) {
-        cancellableBackoff(Micros, Config.Cancel, Tid);
-        return;
-      }
-      double Ts = O->nowUs();
-      cancellableBackoff(Micros, Config.Cancel, Tid);
-      double Dur = O->nowUs() - Ts;
-      O->backoffWait().record(Dur);
-      O->span(Slot, "backoff", Tid, Attempt, Ts, Dur, "requested_us",
-              static_cast<double>(Micros), Note);
-    };
     while (true) {
       size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
       if (Idx >= Tasks.size())
         return;
-      uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-      using Action = resilience::ContentionManager::Action;
-      // Fails the task for cancel reason CR: a structured TaskFailure
-      // plus an empty placeholder commit, as for exception exhaustion.
-      auto FailCancelled = [&](uint32_t Tid2, uint32_t AttemptsMade,
-                               resilience::CancelReason CR) {
-        ++Stats.TaskFailures;
-        ++Stats.CancelledTasks;
-        W.Failures.push_back(resilience::TaskFailure{
-            Tid2, AttemptsMade, resilience::toString(CR),
-            CR == resilience::CancelReason::Shutdown
-                ? resilience::TaskFailure::Kind::Shutdown
-                : resilience::TaskFailure::Kind::Deadline});
-        if (obs::Recorder *R = obs::janusRec(Config.Rec))
-          if (R->sampled(Tid2))
-            R->record(Slot, obs::RecKind::Cancel, Tid2, AttemptsMade,
-                      Clock.load(std::memory_order_acquire),
-                      static_cast<uint32_t>(CR));
-        commitSerial(nullptr, Tid2, Slot, W);
-      };
-      for (uint32_t Attempt = 1;; ++Attempt) {
-        if (Config.Cancel) {
-          resilience::CancelReason CR = Config.Cancel->status(Tid);
-          if (CR != resilience::CancelReason::None) {
-            FailCancelled(Tid, Attempt - 1, CR);
-            break;
-          }
-        }
-        std::string ThrowMsg;
-        AttemptResult R = runTask(Tasks[Idx], Tid, Attempt, Slot, W, &ThrowMsg);
-        if (R == AttemptResult::Committed)
-          break;
-        if (R == AttemptResult::Cancelled) {
-          resilience::CancelReason CR = Config.Cancel->status(Tid);
-          if (CR == resilience::CancelReason::None)
-            CR = resilience::CancelReason::Shutdown; // Unreachable guard.
-          FailCancelled(Tid, Attempt, CR);
+      const uint32_t Tid = static_cast<uint32_t>(Idx + 1);
+      for (uint32_t No = 1;; ++No) {
+        const resilience::CancelReason CR = LC.cancelled(Tid);
+        if (CR != resilience::CancelReason::None) {
+          commitSerial(Tasks[Idx],
+                       LC.cancel(Slot, Tid, No - 1, CR,
+                                 Clock.load(std::memory_order_acquire)),
+                       W, LC);
           break;
         }
-        if (R == AttemptResult::Aborted) {
-          ++Stats.Retries;
-          auto D = CM->onAbort(Tid, Slot);
-          if (D.Act == Action::Serial) {
-            ++Stats.SerialFallbacks;
-            if (obs::Recorder *R = obs::janusRec(Config.Rec))
-              if (R->sampled(Tid))
-                R->record(Slot, obs::RecKind::Escalation, Tid, Attempt,
-                          Clock.load(std::memory_order_acquire));
-            commitSerial(&Tasks[Idx], Tid, Slot, W);
-            break;
-          }
-          BackoffTraced(Tid, Attempt, D.BackoffMicros,
-                        resilience::ContentionManager::toString(D.Act));
-          continue;
-        }
-        // Thrown.
-        auto D = CM->onException(Tid, Slot);
-        if (D.Act == Action::Fail) {
-          ++Stats.TaskFailures;
-          W.Failures.push_back(
-              resilience::TaskFailure{Tid, CM->attempts(Tid), ThrowMsg});
-          commitSerial(nullptr, Tid, Slot, W);
+        std::optional<Lifecycle::Next> N =
+            runTask(Tasks[Idx], Tid, No, Slot, W, LC);
+        if (!N)
+          break; // Committed.
+        if (N->Act != Lifecycle::Next::Step::Retry) {
+          commitSerial(Tasks[Idx], N->Then, W, LC);
           break;
         }
-        BackoffTraced(Tid, Attempt, D.BackoffMicros,
-                      resilience::ContentionManager::toString(D.Act));
+        Lifecycle::Attempt &A = N->Then;
+        const double Ts = A.now();
+        cancellableBackoff(N->BackoffMicros, Config.Cancel, Tid);
+        LC.backoff(A, Ts, A.now() - Ts, N->BackoffMicros);
       }
-      ++Stats.Commits;
-      if (Config.Resilience.Board)
-        Config.Resilience.Board->CommitTicks.fetch_add(
-            1, std::memory_order_relaxed);
     }
   };
 
@@ -892,20 +678,7 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
     for (std::thread &T : Threads)
       T.join();
   }
-  if (Config.RecordTrace) {
-    for (WorkerSlot &W : Workers) {
-      for (TraceEvent &E : W.Events)
-        Trace.Events.push_back(std::move(E));
-      W.Events.clear();
-    }
+  Failures = LC.finish(Trace);
+  if (Config.RecordTrace)
     Trace.Final = sharedState();
-  }
-  for (WorkerSlot &W : Workers) {
-    for (resilience::TaskFailure &F : W.Failures)
-      Failures.push_back(std::move(F));
-    W.Failures.clear();
-  }
-  std::sort(Failures.begin(), Failures.end(),
-            [](const resilience::TaskFailure &A,
-               const resilience::TaskFailure &B) { return A.Tid < B.Tid; });
 }

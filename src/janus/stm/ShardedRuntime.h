@@ -55,8 +55,9 @@
 /// the global stamps and refines per-location begin points from the
 /// recorded shard-acquisition stamps (`TraceEvent::ShardBegins`).
 ///
-/// Robustness (janus::resilience): every abort consults a
-/// `ContentionManager` — retries back off exponentially with
+/// Robustness (janus::resilience): every attempt transition goes
+/// through `stm::Lifecycle`, shared with the simulator, so every abort
+/// consults a `ContentionManager` — retries back off exponentially with
 /// deterministic jitter, and a task starved past its retry budget
 /// escalates to an irrevocable serial fallback under every shard lock.
 /// A task body that throws aborts cleanly and is retried up to a
@@ -85,6 +86,7 @@
 #include "janus/stm/AuditTrace.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/HistoryLog.h"
+#include "janus/stm/Lifecycle.h"
 #include "janus/stm/Stats.h"
 #include "janus/stm/TxContext.h"
 
@@ -186,8 +188,9 @@ public:
   /// Call only after run() has returned.
   const AuditTrace &trace() const { return Trace; }
 
-  /// Tasks of the last run() whose bodies kept throwing past the
-  /// exception retry budget (placeholder-committed).
+  /// Tasks of the last run() that failed — a body kept throwing, a
+  /// serial execution threw, or the task was cancelled — sorted by
+  /// task id (placeholder-committed).
   const std::vector<resilience::TaskFailure> &failures() const {
     return Failures;
   }
@@ -263,8 +266,6 @@ private:
     /// Signalled (at most once per turn) when this worker's ordered
     /// turn arrives; see OrderWaiters.
     std::condition_variable TurnCv;
-    std::vector<TraceEvent> Events;
-    std::vector<resilience::TaskFailure> Failures;
     /// (global commit stamp, task id) pairs; merged and sorted into
     /// the global commit order on demand.
     std::vector<std::pair<uint64_t, uint32_t>> CommitLog;
@@ -282,23 +283,18 @@ private:
     WorkerSlot &Worker;
   };
 
-  /// How one RUNTASK attempt ended.
-  enum class AttemptResult : uint8_t {
-    Committed,
-    Aborted,
-    Thrown,
-    Cancelled, ///< Cancellation token fired mid-attempt; fail the task.
-  };
+  /// One speculative RUNTASK attempt. \returns nullopt when it
+  /// committed, else the lifecycle's next step for the task.
+  std::optional<Lifecycle::Next> runTask(const TaskFn &Task, uint32_t Tid,
+                                         uint32_t No, unsigned Lane,
+                                         WorkerSlot &Worker, Lifecycle &LC);
 
-  AttemptResult runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
-                        unsigned Lane, WorkerSlot &Worker,
-                        std::string *ThrowMsg);
-
-  /// Irrevocable serial fallback / placeholder commit: locks *every*
-  /// shard mutex (ascending), so it is a superset of any speculative
-  /// committer's lock set and cannot deadlock against one.
-  void commitSerial(const TaskFn *Task, uint32_t Tid, unsigned Lane,
-                    WorkerSlot &Worker);
+  /// Irrevocable serial execution of \p Task as attempt \p A, or \p A's
+  /// placeholder commit: locks *every* shard mutex (ascending), so it
+  /// is a superset of any speculative committer's lock set and cannot
+  /// deadlock against one.
+  void commitSerial(const TaskFn &Task, Lifecycle::Attempt A,
+                    WorkerSlot &Worker, Lifecycle &LC);
 
   /// Lazy shard acquisition (ShardBackend::acquire): publishes the
   /// hazard, copies the shard slice into the worker's view, and
@@ -308,13 +304,6 @@ private:
   /// Clears hazards and resets views/attempt scratch for every shard
   /// in \p Mask (end of attempt, any outcome).
   void releaseAttempt(WorkerSlot &Worker, uint64_t Mask);
-
-  /// Appends one attempt record (with per-shard begin stamps drawn
-  /// from the still-live views) to the worker's trace buffer. Call
-  /// before releaseAttempt.
-  void recordEvent(WorkerSlot &Worker, uint32_t Tid, uint64_t Mask,
-                   uint64_t FallbackBegin, uint64_t Commit, bool Committed,
-                   TxLogRef Log, CommitMode Mode = CommitMode::Speculative);
 
   /// Ordered-mode turn handoff on the global clock: a waiter parks on
   /// its own condition variable and the committer whose tick makes it
@@ -349,7 +338,6 @@ private:
   std::unordered_map<uint64_t, std::condition_variable *> OrderWaiters;
   std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
 
-  std::unique_ptr<resilience::ContentionManager> CM;
   std::vector<resilience::TaskFailure> Failures;
 
   /// Per-shard commit/abort counters (janus::obs metrics registry);

@@ -1,6 +1,7 @@
 #include "janus/stm/SimRuntime.h"
 
 #include <map>
+#include <optional>
 #include <queue>
 
 using namespace janus;
@@ -13,33 +14,16 @@ SimRuntime::SimRuntime(const ObjectRegistry &Reg, ConflictDetector &Detector,
 }
 
 SimRuntime::Attempt SimRuntime::execute(const std::vector<TaskFn> &Tasks,
-                                        size_t Idx, uint32_t AttemptNo) {
+                                        Lifecycle &LC, Lifecycle::Attempt Id) {
   Attempt A;
-  A.BeginSeq = CommitSeq;
+  A.Id = Id;
   A.Entry = Shared;
-  uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-  if (obs::Recorder *R = obs::janusRec(Config.Rec))
-    if (R->sampled(Tid))
-      R->record(0, obs::RecKind::Begin, Tid, AttemptNo, A.BeginSeq);
-  TxContext Tx(Shared, Tid, Reg, &Stats);
-  try {
-    if (Config.Faults.throwTask(Tid, AttemptNo)) {
-      ++Stats.FaultsInjected;
-      throw resilience::InjectedFault("injected task exception");
-    }
-    Tasks[Idx](Tx);
-  } catch (const std::exception &E) {
-    A.Threw = true;
-    A.ThrowMsg = E.what();
-  } catch (...) {
-    A.Threw = true;
-    A.ThrowMsg = "unknown exception";
-  }
+  TxContext Tx(Shared, Id.Tid, Reg, &Stats);
+  A.Threw = !LC.runBody(Tasks[Id.Tid - 1], Tx, Id, A.ThrowMsg);
   Tx.endAttempt();
   // A thrown attempt's partial log is discarded — exception safety
   // means no effect of the doomed body can ever reach the shared state.
-  A.Log = A.Threw ? std::make_shared<const TxLog>()
-                  : std::make_shared<const TxLog>(Tx.log());
+  A.Log = A.Threw ? emptyTxLog() : std::make_shared<const TxLog>(Tx.log());
   A.ExecCost = Config.Costs.BeginCost + Tx.virtualCost() +
                Config.Costs.PerLogOp * static_cast<double>(A.Log->size());
   return A;
@@ -82,8 +66,7 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
   History.clear();
   CommitOrder.clear();
   CommitSeq = 0;
-  CM = std::make_unique<resilience::ContentionManager>(Config.Resilience,
-                                                       Tasks.size());
+  Lifecycle LC(Config, Stats, Tasks.size(), /*Writers=*/1);
   if (Config.RecordTrace) {
     Trace.Recorded = true;
     Trace.Initial = Shared;
@@ -94,37 +77,13 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
 
   struct CoreTask {
     size_t TaskIdx = 0;
+    /// The in-flight attempt. Its mode says how the task will commit:
+    /// lifecycle escalations turn it Serial (irrevocable, no
+    /// detection) or Placeholder (failed task, empty log).
     Attempt Att;
     bool Busy = false;
-    uint32_t AttemptNo = 0;
-    /// How the task will commit: contention-manager escalations flip
-    /// this to Serial (irrevocable, no detection) or Placeholder
-    /// (failed task, empty log).
-    CommitMode Mode = CommitMode::Speculative;
-    /// Virtual start time of the in-flight attempt (obs commit
-    /// latency: begin-to-publication).
-    double AttStart = 0.0;
   };
   std::vector<CoreTask> Cores(Config.NumCores);
-
-  // Observability (janus::obs): spans carry *virtual* timestamps, so a
-  // simulated trace is bit-identical across runs. Folds away under
-  // JANUS_OBS=OFF exactly as on the threaded engine.
-  obs::Observer *const O = obs::janusObs(Config.Obs);
-
-  auto RecordAbort = [this](uint32_t Tid, const Attempt &Att,
-                            uint32_t AttemptNo, uint32_t Reason,
-                            uint64_t EndClock) {
-    if (obs::Recorder *R = obs::janusRec(Config.Rec))
-      if (R->sampled(Tid))
-        R->record(0, obs::RecKind::Abort, Tid, AttemptNo, EndClock, Reason);
-    if (!Config.RecordTrace)
-      return;
-    Trace.Events.push_back(TraceEvent{Tid, Att.BeginSeq, 0,
-                                      /*Committed=*/false, Att.Log, Att.Entry,
-                                      CommitMode::Speculative, {}});
-    ++Stats.TraceEvents;
-  };
 
   // Completion events: (time, tiebreak, core). Processed in time order;
   // the tiebreak keeps the schedule deterministic.
@@ -138,123 +97,84 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
   size_t NextTask = 0;
   double MakeSpan = 0.0;
 
+  // Starts attempt No of the core's task at virtual time Time, with its
+  // body span (virtual timestamps keep a simulated trace bit-identical
+  // across runs) and completion event — or, when the task's token
+  // fired, fails it and schedules its placeholder commit instead.
+  auto StartAttempt = [&](unsigned Core, uint32_t No, double Time) {
+    CoreTask &CT = Cores[Core];
+    const uint32_t Tid = static_cast<uint32_t>(CT.TaskIdx + 1);
+    const resilience::CancelReason CR = LC.cancelled(Tid);
+    if (CR != resilience::CancelReason::None) {
+      CT.Att = Attempt{};
+      CT.Att.Id = LC.cancel(Core, Tid, No - 1, CR, CommitSeq);
+      CT.Att.Id.StartTs = Time;
+      CT.Att.Log = emptyTxLog();
+      Events.emplace(Time, EventSeq++, Core);
+      return;
+    }
+    CT.Att = execute(Tasks, LC, LC.begin(Core, Tid, No, CommitSeq));
+    CT.Att.Id.StartTs = Time;
+    if (obs::Observer *O = obs::janusObs(CT.Att.Id.Obs))
+      O->span(Core, "body", Tid, No, Time, CT.Att.ExecCost);
+    Events.emplace(Time + CT.Att.ExecCost, EventSeq++, Core);
+  };
+
   auto StartTask = [&](unsigned Core, double Time) {
     if (NextTask >= Tasks.size())
       return;
-    size_t Idx = NextTask++;
-    Cores[Core].TaskIdx = Idx;
-    Cores[Core].AttemptNo = 1;
-    Cores[Core].Mode = CommitMode::Speculative;
-    Cores[Core].Att = execute(Tasks, Idx, 1);
+    Cores[Core].TaskIdx = NextTask++;
     Cores[Core].Busy = true;
-    Cores[Core].AttStart = Time;
-    uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-    if (O && O->sampled(Tid))
-      O->span(Core, "body", Tid, 1, Time, Cores[Core].Att.ExecCost);
-    Events.emplace(Time + Cores[Core].Att.ExecCost, EventSeq++, Core);
+    StartAttempt(Core, 1, Time);
   };
 
-  // Aborted-attempt retry: abort instant, backoff span (charged as
-  // virtual time), re-execution with its body span, and the completion
-  // event — shared by the exception, injected-abort and conflict paths.
-  auto RetryTraced = [&](unsigned Core, CoreTask &CT, uint32_t Tid,
-                         double From, uint64_t BackoffMicros,
-                         const char *Why) {
-    bool Sampled = O && O->sampled(Tid);
-    if (Sampled) {
-      O->instant(Core, "abort", Tid, CT.AttemptNo, From, Why);
-      if (BackoffMicros) {
-        O->span(Core, "backoff", Tid, CT.AttemptNo, From,
-                static_cast<double>(BackoffMicros), "requested_us",
-                static_cast<double>(BackoffMicros), "retry");
-        O->backoffWait().record(static_cast<double>(BackoffMicros));
-      }
+  // An attempt that did not commit, at virtual time At: the lifecycle
+  // decides. A retry re-executes on the same core after its backoff,
+  // charged as virtual time; \returns false when the task escalated
+  // instead (serial or placeholder commit).
+  auto Retried = [&](unsigned Core, obs::AbortReason Why, double At) {
+    Attempt &Att = Cores[Core].Att;
+    Lifecycle::Next N =
+        LC.abort(Att.Id, Why, AttemptState{&Att.Log, nullptr, 0, &Att.Entry},
+                 At, CommitSeq, Att.ThrowMsg);
+    if (N.Act == Lifecycle::Next::Step::Retry) {
+      const double Backoff = static_cast<double>(N.BackoffMicros);
+      LC.backoff(Att.Id, At, Backoff, N.BackoffMicros);
+      StartAttempt(Core, Att.Id.No + 1, At + Backoff);
+      return true;
     }
-    double Start = From + static_cast<double>(BackoffMicros);
-    CT.Att = execute(Tasks, CT.TaskIdx, ++CT.AttemptNo);
-    CT.AttStart = Start;
-    if (Sampled)
-      O->span(Core, "body", Tid, CT.AttemptNo, Start, CT.Att.ExecCost);
-    Events.emplace(Start + CT.Att.ExecCost, EventSeq++, Core);
+    Att.Id = N.Then;
+    if (N.Act == Lifecycle::Next::Step::Placeholder)
+      Att.Log = emptyTxLog();
+    return false;
   };
 
   for (unsigned C = 0; C != Config.NumCores; ++C)
     StartTask(C, 0.0);
 
-  using Action = resilience::ContentionManager::Action;
   while (!Events.empty()) {
     auto [Time, Seq, Core] = Events.top();
     Events.pop();
     (void)Seq;
     CoreTask &CT = Cores[Core];
     JANUS_ASSERT(CT.Busy, "event for idle core");
-    uint32_t Tid = static_cast<uint32_t>(CT.TaskIdx + 1);
+    Attempt &Att = CT.Att;
+    const uint32_t Tid = Att.Id.Tid;
 
-    // Cooperative cancellation at the attempt boundary: a cancelled
-    // task (deadline expired or shutdown) fails with an empty
-    // placeholder commit — the same dense-clock mechanism as
-    // exception-exhausted tasks. A pending throw on the same attempt
-    // is subsumed by the cancellation.
-    if (Config.Cancel && CT.Mode == CommitMode::Speculative) {
-      resilience::CancelReason CR = Config.Cancel->status(Tid);
-      if (CR != resilience::CancelReason::None) {
-        if (CT.Att.Threw) {
-          ++Stats.TaskExceptions;
-          CT.Att.Threw = false;
-        }
-        RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortCancelled, 0);
-        if (O && O->sampled(Tid))
-          O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "cancelled");
-        ++Stats.TaskFailures;
-        ++Stats.CancelledTasks;
-        Outcome.Failures.push_back(resilience::TaskFailure{
-            Tid, CT.AttemptNo, resilience::toString(CR),
-            CR == resilience::CancelReason::Shutdown
-                ? resilience::TaskFailure::Kind::Shutdown
-                : resilience::TaskFailure::Kind::Deadline});
-        CT.Att.Log = std::make_shared<const TxLog>();
-        CT.Mode = CommitMode::Placeholder;
-      }
-    }
-
-    // A thrown attempt consults the contention manager before any
-    // turn-taking: a retrying task must not occupy its commit turn.
-    if (CT.Att.Threw) {
-      ++Stats.TaskExceptions;
-      RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortException, 0);
-      auto D = CM->onException(Tid, Core);
-      if (D.Act == Action::Retry) {
-        // Backoff is charged as virtual time on this core.
-        RetryTraced(Core, CT, Tid, Time, D.BackoffMicros, "exception");
+    // A speculative attempt ends without committing when its body
+    // threw, the plan force-aborts it, or its token fired — all before
+    // any turn-taking (a retrying task must not occupy its commit
+    // turn) and before detection, exactly as on the threaded engine.
+    if (Att.Id.Mode == CommitMode::Speculative) {
+      std::optional<obs::AbortReason> Why;
+      if (Att.Threw)
+        Why = obs::AbortReason::Exception;
+      else if (LC.forceAbort(Att.Id))
+        Why = obs::AbortReason::Injected;
+      else if (LC.cancelled(Tid) != resilience::CancelReason::None)
+        Why = obs::AbortReason::Cancelled;
+      if (Why && Retried(Core, *Why, Time))
         continue;
-      }
-      // Exception budget exhausted: surface the failure and fall
-      // through to an empty placeholder commit (the thrown attempt's
-      // log is already empty), keeping ordered successors and the
-      // dense commit clock advancing.
-      if (O && O->sampled(Tid))
-        O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "exception");
-      ++Stats.TaskFailures;
-      Outcome.Failures.push_back(
-          resilience::TaskFailure{Tid, CM->attempts(Tid), CT.Att.ThrowMsg});
-      CT.Att.Threw = false; // Handled; the event may re-pop after parking.
-      CT.Mode = CommitMode::Placeholder;
-    } else if (CT.Mode == CommitMode::Speculative &&
-               Config.Faults.forceAbort(Tid, CT.AttemptNo)) {
-      // Fault injection: abort before the turn wait and before
-      // detection, exactly as on the threaded engine.
-      ++Stats.FaultsInjected;
-      ++Stats.Retries;
-      RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortInjected, 0);
-      auto D = CM->onAbort(Tid, Core);
-      if (D.Act == Action::Retry) {
-        RetryTraced(Core, CT, Tid, Time, D.BackoffMicros, "injected");
-        continue;
-      }
-      if (O && O->sampled(Tid))
-        O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "injected");
-      ++Stats.SerialFallbacks;
-      CT.Mode = CommitMode::Serial;
     }
 
     // Ordered mode: wait for this transaction's turn.
@@ -264,15 +184,14 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
       continue;
     }
 
-    Attempt &Att = CT.Att;
     double CommitAt = std::max(Time, LockFreeAt);
 
-    if (CT.Mode == CommitMode::Speculative) {
+    if (Att.Id.Mode == CommitMode::Speculative) {
       // Detection cost: proportional to the operations examined,
       // identical for both detectors (§7.1).
       size_t Examined = Att.Log->size();
       std::vector<TxLogRef> Window;
-      for (size_t I = Att.BeginSeq; I != History.size(); ++I) {
+      for (size_t I = Att.Id.BeginClock; I != History.size(); ++I) {
         Window.push_back(History[I].Log);
         Examined += History[I].Log->size();
       }
@@ -282,62 +201,36 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
 
       ++Stats.ConflictChecks;
       bool Conflict = Detector.detectConflicts(Att.Entry, *Att.Log, Window, Reg);
-      if (O && O->sampled(Tid)) {
+      if (obs::Observer *O = obs::janusObs(Att.Id.Obs)) {
         O->detectLatency().record(DetectCost);
-        O->span(Core, "detect", Tid, CT.AttemptNo, Time, DetectCost,
-                "window", static_cast<double>(Window.size()));
+        O->span(Core, "detect", Tid, Att.Id.No, Time, DetectCost, "window",
+                static_cast<double>(Window.size()));
       }
-      if (Conflict) {
-        // Abort: consult the contention manager. The recorded detect-end
-        // clock is the current commit count — the upper bound of the
-        // window this attempt conflicted with.
-        ++Stats.Retries;
-        RecordAbort(Tid, Att, CT.AttemptNo, obs::RecAbortConflict, CommitSeq);
-        auto D = CM->onAbort(Tid, Core);
-        if (D.Act == Action::Retry) {
-          // Re-execute from scratch on the same core, after backoff.
-          RetryTraced(Core, CT, Tid, CommitAt, D.BackoffMicros, "conflict");
-          continue;
-        }
-        if (O && O->sampled(Tid))
-          O->instant(Core, "abort", Tid, CT.AttemptNo, CommitAt, "conflict");
-        ++Stats.SerialFallbacks;
-        CT.Mode = CommitMode::Serial;
-      }
+      // The conflict's detect-end clock is the current commit count —
+      // the upper bound of the window this attempt conflicted with.
+      if (Conflict && Retried(Core, obs::AbortReason::Conflict, CommitAt))
+        continue;
     }
 
-    if (CT.Mode == CommitMode::Serial) {
+    if (Att.Id.Mode == CommitMode::Serial) {
       // Irrevocable serial fallback: re-execute against the *current*
       // state and commit without detection. The event loop is
       // sequential, so nothing can commit between this execution and
       // its commit — inherently pessimistic, cannot abort; and in
       // ordered mode this point is only reached on the task's turn.
-      Att = execute(Tasks, CT.TaskIdx, ++CT.AttemptNo);
-      CT.AttStart = Time;
+      Att = execute(Tasks, LC, Att.Id);
+      Att.Id.StartTs = Time;
       CommitAt = std::max(Time + Att.ExecCost, LockFreeAt);
-      if (Att.Threw) {
-        // The irrevocable execution itself threw: the task fails and
-        // commits an empty placeholder instead.
-        ++Stats.TaskExceptions;
-        ++Stats.TaskFailures;
-        Outcome.Failures.push_back(
-            resilience::TaskFailure{Tid, CM->attempts(Tid), Att.ThrowMsg});
-        Att.Threw = false;
-        CT.Mode = CommitMode::Placeholder; // Log already empty.
-      }
-      if (O && O->sampled(Tid))
-        O->span(Core, "serial", Tid, CT.AttemptNo, Time, Att.ExecCost,
-                "clock", static_cast<double>(CommitSeq + 1),
-                CT.Mode == CommitMode::Placeholder ? "placeholder"
-                                                   : "fallback");
+      if (Att.Threw) // Fails the task; the log is already empty.
+        LC.serialThrew(Att.Id, Att.ThrowMsg, CommitSeq);
     }
 
-    // Fault injection: delay the commit by virtual units, widening the
-    // window in which later attempts must detect against this one.
-    if (uint64_t Delay = Config.Faults.commitDelay(Tid, CT.AttemptNo)) {
-      ++Stats.FaultsInjected;
-      CommitAt += static_cast<double>(Delay);
-    }
+    // Fault injection: delay an execution's commit by virtual units,
+    // widening the window in which later attempts must detect against
+    // this one.
+    if (Att.Id.Mode != CommitMode::Placeholder)
+      if (uint64_t Delay = LC.commitDelay(Att.Id))
+        CommitAt += static_cast<double>(Delay);
 
     // Commit: replay the log on global memory while holding the write
     // lock; commits serialize on LockFreeAt.
@@ -346,33 +239,16 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
     for (const LogEntry &E : *Att.Log)
       Shared = applyToSnapshot(Shared, E.Loc, E.Op);
     History.push_back(Committed{CommitSeq, Att.Log});
-    if (obs::Recorder *R = obs::janusRec(Config.Rec))
-      if (R->sampled(Tid))
-        R->record(0, obs::RecKind::Commit, Tid, CT.AttemptNo, CommitSeq, 0,
-                  static_cast<uint8_t>(CT.Mode));
-    if (Config.RecordTrace) {
-      Trace.Events.push_back(TraceEvent{Tid, Att.BeginSeq, CommitSeq,
-                                        /*Committed=*/true, Att.Log, Att.Entry,
-                                        CT.Mode, {}});
-      ++Stats.TraceEvents;
-    }
     double CommitEnd =
         CommitAt +
         Config.Costs.CommitPerOp * static_cast<double>(Att.Log->size());
-    if (O && O->sampled(Tid)) {
-      O->span(Core, "commit", Tid, CT.AttemptNo, CommitAt,
-              CommitEnd - CommitAt, "clock",
-              static_cast<double>(CommitSeq));
-      // Commit latency = begin-to-publication of the winning attempt,
-      // in virtual units on this engine.
-      O->commitLatency().record(CommitEnd - CT.AttStart);
-    }
+    // Commit latency = begin-to-publication of the winning attempt, in
+    // virtual units on this engine.
+    LC.commit(Att.Id, CommitSeq,
+              AttemptState{&Att.Log, nullptr, 0, &Att.Entry}, CommitAt,
+              CommitEnd);
     LockFreeAt = CommitEnd;
     MakeSpan = std::max(MakeSpan, CommitEnd);
-    ++Stats.Commits;
-    if (Config.Resilience.Board)
-      Config.Resilience.Board->CommitTicks.fetch_add(
-          1, std::memory_order_relaxed);
     Cores[Core].Busy = false;
 
     if (Config.Ordered) {
@@ -392,6 +268,7 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
 
   JANUS_ASSERT(Parked.empty(), "ordered run left parked transactions");
   JANUS_ASSERT(NextTask == Tasks.size(), "tasks left unscheduled");
+  Outcome.Failures = LC.finish(Trace);
   if (Config.RecordTrace)
     Trace.Final = Shared;
   Outcome.ParallelTime = MakeSpan;
@@ -412,6 +289,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
   History.clear();
   CommitOrder.clear();
   CommitSeq = 0;
+  Lifecycle LC(Config, Stats, Tasks.size(), /*Writers=*/1);
   if (Config.RecordTrace) {
     Trace.Recorded = true;
     Trace.Initial = Shared;
@@ -426,7 +304,6 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
   std::vector<Snapshot> StateAt{Shared};
   std::vector<TxLogRef> LogAt{nullptr};
 
-  obs::Observer *const O = obs::janusObs(Config.Obs);
   double VirtualNow = 0.0;
 
   // Reconstructs the entry snapshot a recorded attempt observed. For
@@ -492,8 +369,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     Tx.endAttempt();
     VirtualNow += Config.Costs.BeginCost + Tx.virtualCost() +
                   Config.Costs.PerLogOp * static_cast<double>(Tx.log().size());
-    return *Threw ? std::make_shared<const TxLog>()
-                  : std::make_shared<const TxLog>(Tx.log());
+    return *Threw ? emptyTxLog() : std::make_shared<const TxLog>(Tx.log());
   };
 
   for (const ReplayStep &S : Sched.Steps) {
@@ -511,7 +387,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
       // *are* re-executed at their reconstructed entry — the
       // divergence check needs their logs to confirm the recorded
       // conflict had a real footprint overlap.
-      if (S.AbortReason != obs::RecAbortConflict)
+      if (S.AbortReason != obs::AbortReason::Conflict)
         continue;
       bool Ok = false, Threw = false;
       std::string Msg;
@@ -521,23 +397,12 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
         Problem("task " + std::to_string(S.Tid) + " attempt " +
                 std::to_string(S.Attempt) +
                 " threw while replaying a conflict-aborted attempt: " + Msg);
-      ++Stats.Retries;
-      if (Config.RecordTrace) {
-        TraceEvent E{S.Tid,
-                     S.Begin,
-                     0,
-                     /*Committed=*/false,
-                     Log,
-                     std::move(Entry),
-                     CommitMode::Speculative,
-                     S.ShardStamps};
-        Trace.Events.push_back(std::move(E));
-        ++Stats.TraceEvents;
-      }
-      if (O && O->sampled(S.Tid)) {
+      Lifecycle::Attempt A = LC.begin(0, S.Tid, S.Attempt, S.Begin);
+      if (obs::Observer *O = obs::janusObs(A.Obs))
         O->span(0, "body", S.Tid, S.Attempt, StepTs, VirtualNow - StepTs);
-        O->instant(0, "abort", S.Tid, S.Attempt, VirtualNow, "conflict");
-      }
+      LC.recordAbort(A, S.AbortReason,
+                     AttemptState{&Log, nullptr, 0, &Entry, &S.ShardStamps},
+                     VirtualNow, S.End);
       continue;
     }
 
@@ -547,15 +412,13 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
       Problem("task " + std::to_string(S.Tid) + ": recorded commit clock " +
               std::to_string(S.CommitTime) + " arrived at replay clock " +
               std::to_string(CommitSeq + 1));
-    TxLogRef Log;
+    Lifecycle::Attempt A = LC.begin(0, S.Tid, S.Attempt, S.Begin, Mode);
+    A.StartTs = StepTs;
+    TxLogRef Log = emptyTxLog();
     Snapshot Entry;
     if (Mode == CommitMode::Placeholder) {
       // The recorded task failed permanently; nothing executes.
-      Log = std::make_shared<const TxLog>();
-      Entry = StateAt.back();
-      ++Stats.TaskFailures;
-      Outcome.Failures.push_back(resilience::TaskFailure{
-          S.Tid, S.Attempt, "recorded placeholder (task failed when recorded)"});
+      LC.fail(A, "recorded placeholder (task failed when recorded)");
     } else {
       bool Ok = false, Threw = false;
       std::string Msg;
@@ -588,22 +451,9 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     LogAt.push_back(Log);
     Shared = std::move(Next);
     History.push_back(Committed{CommitSeq, Log});
-    ++Stats.Commits;
-    if (Config.RecordTrace) {
-      TraceEvent E{S.Tid,       S.Begin, CommitSeq, /*Committed=*/true,
-                   Log,         Entry,   Mode,      S.ShardStamps};
-      Trace.Events.push_back(std::move(E));
-      ++Stats.TraceEvents;
-    }
-    if (O && O->sampled(S.Tid)) {
-      const char *SpanName =
-          Mode == CommitMode::Speculative ? "commit" : "serial";
-      O->span(0, SpanName, S.Tid, S.Attempt, StepTs,
-              std::max(VirtualNow - StepTs, 0.0), "clock",
-              static_cast<double>(CommitSeq),
-              Mode == CommitMode::Placeholder ? "placeholder" : nullptr);
-      O->commitLatency().record(std::max(VirtualNow - StepTs, 0.0));
-    }
+    LC.commit(A, CommitSeq,
+              AttemptState{&Log, nullptr, 0, &Entry, &S.ShardStamps}, StepTs,
+              VirtualNow);
     VirtualNow +=
         Config.Costs.CommitPerOp * static_cast<double>(Log->size());
   }
@@ -612,6 +462,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     Problem("replay committed " + std::to_string(CommitSeq) +
             " transactions; the recording holds " +
             std::to_string(Sched.MaxTid));
+  Outcome.Failures = LC.finish(Trace);
   if (Config.RecordTrace)
     Trace.Final = Shared;
   Outcome.ParallelTime = VirtualNow;

@@ -25,14 +25,15 @@
 /// The event loop is sequential and deterministic: identical inputs
 /// produce identical schedules, commits, statistics and final states.
 ///
-/// Robustness (janus::resilience): aborts consult the same
-/// `ContentionManager` escalation ladder as the threaded engine —
-/// backoff charged as virtual time, starved tasks re-executed
-/// irrevocably against the current state (the sequential event loop
-/// makes that inherently pessimistic), failed tasks surfaced as
-/// `TaskFailure`s with empty placeholder commits. A `FaultPlan`
-/// injects the same faults at the same (task, attempt) coordinates on
-/// every run — injected executions stay bit-reproducible.
+/// Robustness (janus::resilience): every attempt transition goes
+/// through the same `stm::Lifecycle` as on the threaded engine, so
+/// aborts climb the same escalation ladder — backoff charged as
+/// virtual time, starved tasks re-executed irrevocably against the
+/// current state (the sequential event loop makes that inherently
+/// pessimistic), failed tasks surfaced as `TaskFailure`s with empty
+/// placeholder commits. A `FaultPlan` injects the same faults at the
+/// same (task, attempt) coordinates on every run — injected executions
+/// stay bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,7 @@
 #include "janus/resilience/FaultPlan.h"
 #include "janus/stm/AuditTrace.h"
 #include "janus/stm/Detector.h"
+#include "janus/stm/Lifecycle.h"
 #include "janus/stm/Replay.h"
 #include "janus/stm/Stats.h"
 #include "janus/stm/TxContext.h"
@@ -119,8 +121,9 @@ struct SimOutcome {
   double ParallelTime = 0.0;
   /// Virtual duration of the plain sequential loop over the same tasks.
   double SequentialTime = 0.0;
-  /// Tasks whose bodies kept throwing past the exception retry budget;
-  /// their commit slots were filled by empty placeholder commits.
+  /// Tasks that failed — a body kept throwing, a serial execution
+  /// threw, or the task was cancelled — sorted by task id; their commit
+  /// slots were filled by empty placeholder commits.
   std::vector<resilience::TaskFailure> Failures;
 
   double speedup() const {
@@ -163,20 +166,20 @@ private:
     TxLogRef Log;
   };
 
-  /// Executes one attempt of task \p Idx against the current global
-  /// state. \returns the log and the attempt's execution cost. A body
-  /// that throws (genuinely or by fault injection at coordinate
-  /// (Idx+1, \p AttemptNo)) yields Threw with an empty log.
+  /// Executes attempt \p Id against the current global state.
+  /// \returns the log and the attempt's execution cost. A body that
+  /// throws (genuinely or by fault injection at \p Id's coordinates)
+  /// yields Threw with an empty log.
   struct Attempt {
+    Lifecycle::Attempt Id;
     TxLogRef Log;
     Snapshot Entry;
     double ExecCost = 0.0;
-    uint64_t BeginSeq = 0;
     bool Threw = false;
     std::string ThrowMsg;
   };
-  Attempt execute(const std::vector<TaskFn> &Tasks, size_t Idx,
-                  uint32_t AttemptNo);
+  Attempt execute(const std::vector<TaskFn> &Tasks, Lifecycle &LC,
+                  Lifecycle::Attempt Id);
 
   /// Virtual duration of the plain sequential loop (the speedup
   /// denominator), shared by the simulated and replayed paths.
@@ -193,8 +196,6 @@ private:
   std::vector<Committed> History;
   uint64_t CommitSeq = 0;
   std::vector<uint32_t> CommitOrder;
-  /// Contention-management state of the in-progress run().
-  std::unique_ptr<resilience::ContentionManager> CM;
   AuditTrace Trace;
   RunStats Stats;
 };

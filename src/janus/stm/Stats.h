@@ -66,6 +66,24 @@ struct RunStats {
     CancelledTasks.reset();
   }
 
+  /// Adds every counter of \p O into this one.
+  void mergeFrom(const RunStats &O) {
+    Tasks += O.Tasks.load();
+    Commits += O.Commits.load();
+    Retries += O.Retries.load();
+    ConflictChecks += O.ConflictChecks.load();
+    ValidationFailures += O.ValidationFailures.load();
+    TraceEvents += O.TraceEvents.load();
+    EscapedAccesses += O.EscapedAccesses.load();
+    SerialFallbacks += O.SerialFallbacks.load();
+    TaskExceptions += O.TaskExceptions.load();
+    TaskFailures += O.TaskFailures.load();
+    FaultsInjected += O.FaultsInjected.load();
+    CrossShardCommits += O.CrossShardCommits.load();
+    EmptyCommits += O.EmptyCommits.load();
+    CancelledTasks += O.CancelledTasks.load();
+  }
+
   /// Figure 10's metric: overall retries over the number of
   /// transactions.
   double retryRatio() const {

@@ -66,7 +66,7 @@ std::vector<RecEvent> sampleEvents(size_t N) {
     E.TimeUs = 10 * I;
     E.Tid = static_cast<uint32_t>(I / 2 + 1);
     E.Attempt = 1;
-    E.Aux = I % 2 ? 0 : RecAbortConflict;
+    E.Aux = I % 2 ? 0 : static_cast<uint32_t>(AbortReason::Conflict);
     E.Kind = static_cast<uint8_t>(I % 2 ? RecKind::Commit : RecKind::Begin);
     E.Mode = 0;
     E.Lane = static_cast<uint16_t>(I % 3);
@@ -365,7 +365,7 @@ TEST(ReplayRoundTripTest, TamperedScheduleDiverges) {
     if (!St.Committed)
       continue;
     St.Committed = false;
-    St.AbortReason = RecAbortConflict;
+    St.AbortReason = AbortReason::Conflict;
     St.End = St.CommitTime - 1;
     St.CommitTime = 0;
     St.Mode = 0;
@@ -412,7 +412,8 @@ TEST(ReplayDivergenceTest, ConflictWindowOpensAtShardAcquisitionStamp) {
   Push(RecKind::Commit, 1, 1, 2);
   Push(RecKind::Begin, 2, 1, 2);                     // Begin clock k.
   Push(RecKind::ShardAcquire, 2, 1, 1, /*Shard=*/0); // Stamp k-1.
-  Push(RecKind::Abort, 2, 1, 2, RecAbortConflict);   // Detect-end k.
+  Push(RecKind::Abort, 2, 1, 2,
+       static_cast<uint32_t>(AbortReason::Conflict)); // Detect-end k.
   Push(RecKind::Begin, 2, 2, 2);
   Push(RecKind::ShardAcquire, 2, 2, 2, /*Shard=*/0);
   Push(RecKind::Commit, 2, 2, 3);

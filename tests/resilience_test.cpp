@@ -5,12 +5,15 @@
 /// fault-plan parsing, the contention-manager escalation ladder
 /// (backoff → serial fallback → failure), exception-safe transactions,
 /// retry-storm bounding, deterministic fault injection, adaptive
-/// detector degradation, and audit-cleanliness of degraded runs.
+/// detector degradation, audit-cleanliness of degraded runs, and the
+/// two engines' agreement on every attempt transition.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "janus/analysis/Auditor.h"
 #include "janus/conflict/SequenceDetector.h"
+#include "janus/obs/Recorder.h"
+#include "janus/resilience/Cancellation.h"
 #include "janus/resilience/ContentionManager.h"
 #include "janus/resilience/FaultPlan.h"
 #include "janus/stm/Detector.h"
@@ -21,7 +24,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
+#include <tuple>
 
 using namespace janus;
 using namespace janus::resilience;
@@ -481,4 +486,190 @@ TEST(AuditResilienceTest, PlaceholderCommitAuditsClean) {
   EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(4));
   analysis::AuditReport Report = analysis::audit(R.trace(), Tasks, W.Reg);
   EXPECT_TRUE(Report.clean()) << Report.summary();
+}
+
+// ---------------------------------------------------------------------------
+// One attempt lifecycle on both engines.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What one engine made of a task set, in engine-neutral terms.
+struct EngineRun {
+  /// Per task: the recorder's (kind, attempt, aux, mode) sequence,
+  /// without shard acquisitions and clock values.
+  std::map<uint32_t, std::vector<std::tuple<uint8_t, uint32_t, uint32_t,
+                                            uint8_t>>>
+      Events;
+  /// The audit trace as (tid, committed, mode, rendered log), by task.
+  std::vector<std::tuple<uint32_t, bool, CommitMode, std::string>> Trace;
+  /// (tid, attempts, kind, reason) per failed task.
+  std::vector<std::tuple<uint32_t, uint32_t, TaskFailure::Kind, std::string>>
+      Failures;
+  std::vector<uint64_t> Stats;
+  Value Final;
+};
+
+template <class Runtime>
+EngineRun observe(Runtime &R, const obs::Recorder &Rec,
+                  const std::vector<TaskFailure> &Failures, Location L) {
+  EngineRun Out;
+  for (const obs::RecEvent &E : Rec.snapshot())
+    if (E.Kind != static_cast<uint8_t>(obs::RecKind::ShardAcquire))
+      Out.Events[E.Tid].emplace_back(E.Kind, E.Attempt, E.Aux, E.Mode);
+  for (const TraceEvent &E : R.trace().Events) {
+    std::string Log;
+    for (const LogEntry &LE : *E.Log)
+      Log += LE.Loc.toString() + " " + LE.Op.toString() + ";";
+    Out.Trace.emplace_back(E.Tid, E.Committed, E.Mode, Log);
+  }
+  std::stable_sort(Out.Trace.begin(), Out.Trace.end(),
+                   [](const auto &A, const auto &B) {
+                     return std::get<0>(A) < std::get<0>(B);
+                   });
+  for (const TaskFailure &F : Failures)
+    Out.Failures.emplace_back(F.Tid, F.Attempts, F.FailKind, F.Reason);
+  const RunStats &S = R.stats();
+  Out.Stats = {S.Commits.load(),        S.Retries.load(),
+               S.TaskExceptions.load(), S.TaskFailures.load(),
+               S.SerialFallbacks.load(), S.FaultsInjected.load(),
+               S.CancelledTasks.load()};
+  Out.Final = snapshotValue(R.sharedState(), L);
+  return Out;
+}
+
+} // namespace
+
+TEST(LifecycleConformanceTest, SerialExecutionsAreFaultInjectableAttempts) {
+  // Every first attempt is force-aborted and escalates at once; the
+  // serial execution is attempt 2, so `throw@*.2` fails it. Both
+  // engines must fail every task after 2 attempts and commit only
+  // placeholders.
+  const int N = 6;
+  auto Check = [&](const std::vector<TaskFailure> &Failures,
+                   const RunStats &S, const Value &Final) {
+    ASSERT_EQ(Failures.size(), static_cast<size_t>(N));
+    for (const TaskFailure &F : Failures) {
+      EXPECT_EQ(F.Attempts, 2u) << "task " << F.Tid;
+      EXPECT_EQ(F.Reason, "injected task exception");
+    }
+    EXPECT_EQ(S.Commits.load(), static_cast<uint64_t>(N));
+    EXPECT_EQ(S.SerialFallbacks.load(), static_cast<uint64_t>(N));
+    EXPECT_EQ(S.TaskFailures.load(), static_cast<uint64_t>(N));
+    EXPECT_EQ(S.FaultsInjected.load(), static_cast<uint64_t>(2 * N));
+    EXPECT_TRUE(Final.isAbsent());
+  };
+  {
+    World W;
+    WriteSetDetector D;
+    ShardedConfig C;
+    C.NumThreads = 1;
+    C.Resilience.SpeculativeRetryBudget = 1;
+    C.Faults = mustParse("abort@*.1;throw@*.2");
+    ShardedRuntime R(W.Reg, D, C);
+    R.run(incrementTasks(Location(W.Work), N));
+    Check(R.failures(), R.stats(),
+          snapshotValue(R.sharedState(), Location(W.Work)));
+  }
+  {
+    World W;
+    WriteSetDetector D;
+    SimConfig C;
+    C.NumCores = 1;
+    C.Resilience.SpeculativeRetryBudget = 1;
+    C.Faults = mustParse("abort@*.1;throw@*.2");
+    SimRuntime R(W.Reg, D, C);
+    SimOutcome O = R.run(incrementTasks(Location(W.Work), N));
+    Check(O.Failures, R.stats(),
+          snapshotValue(R.sharedState(), Location(W.Work)));
+  }
+}
+
+TEST(LifecycleConformanceTest, EnginesEmitTheSameTransitions) {
+  // One worker and one core run the tasks in the same sequential
+  // order, so every transition must match event for event: an
+  // injected abort escalating to serial (budget 1), a serial execution
+  // that throws, a speculative throw retried, a task whose throws
+  // exhaust the exception budget, and a task cancelled before it ran.
+  const std::string Spec =
+      "abort@1.1;abort@2.1;abort@6.1;throw@2.2;throw@3.1;throw@4.*;"
+      "delay@*.2=1";
+  const int N = 6;
+  auto Configure = [&](auto &C, resilience::CancellationTable &Cancel,
+                       obs::Recorder &Rec) {
+    C.RecordTrace = true;
+    C.Resilience.SpeculativeRetryBudget = 1;
+    C.Resilience.BackoffBaseMicros = 1;
+    C.Faults = mustParse(Spec);
+    C.Cancel = &Cancel;
+    C.Rec = &Rec;
+  };
+  obs::RecorderConfig RC;
+  RC.Enabled = true;
+
+  World WT;
+  WriteSetDetector DT;
+  resilience::CancellationTable CancelT(N);
+  CancelT.task(5)->cancel(resilience::CancelReason::Deadline);
+  obs::Recorder RecT(RC, 2);
+  ShardedConfig CT;
+  CT.NumThreads = 1;
+  Configure(CT, CancelT, RecT);
+  ShardedRuntime Threads(WT.Reg, DT, CT);
+  Threads.run(incrementTasks(Location(WT.Work), N));
+  EngineRun T =
+      observe(Threads, RecT, Threads.failures(), Location(WT.Work));
+
+  World WS;
+  WriteSetDetector DS;
+  resilience::CancellationTable CancelS(N);
+  CancelS.task(5)->cancel(resilience::CancelReason::Deadline);
+  obs::Recorder RecS(RC, 2);
+  SimConfig CS;
+  CS.NumCores = 1;
+  Configure(CS, CancelS, RecS);
+  SimRuntime Sim(WS.Reg, DS, CS);
+  SimOutcome O = Sim.run(incrementTasks(Location(WS.Work), N));
+  EngineRun S = observe(Sim, RecS, O.Failures, Location(WS.Work));
+
+  using K = obs::RecKind;
+  // Mode is written on commits only; Speculative is 0.
+  auto Ev = [](K Kind, uint32_t Attempt, uint32_t Aux = 0,
+               CommitMode Mode = CommitMode::Speculative) {
+    return std::make_tuple(static_cast<uint8_t>(Kind), Attempt, Aux,
+                           static_cast<uint8_t>(Mode));
+  };
+  const uint32_t Injected = static_cast<uint32_t>(obs::AbortReason::Injected);
+  const uint32_t Thrown = static_cast<uint32_t>(obs::AbortReason::Exception);
+  const uint32_t Serial =
+      static_cast<uint32_t>(ContentionManager::Action::Serial);
+  const uint32_t Fail = static_cast<uint32_t>(ContentionManager::Action::Fail);
+  // Task 2's serial execution throws: no begin, a Fail escalation.
+  EXPECT_EQ(T.Events[2],
+            (std::vector{Ev(K::Begin, 1), Ev(K::Abort, 1, Injected),
+                         Ev(K::Escalation, 1, Serial),
+                         Ev(K::Escalation, 2, Fail),
+                         Ev(K::Commit, 2, 0, CommitMode::Placeholder)}));
+  EXPECT_EQ(T.Events[1],
+            (std::vector{Ev(K::Begin, 1), Ev(K::Abort, 1, Injected),
+                         Ev(K::Escalation, 1, Serial),
+                         Ev(K::Commit, 2, 0, CommitMode::Serial)}));
+  EXPECT_EQ(T.Events[4],
+            (std::vector{Ev(K::Begin, 1), Ev(K::Abort, 1, Thrown),
+                         Ev(K::Begin, 2), Ev(K::Abort, 2, Thrown),
+                         Ev(K::Begin, 3), Ev(K::Abort, 3, Thrown),
+                         Ev(K::Escalation, 3, Fail),
+                         Ev(K::Commit, 3, 0, CommitMode::Placeholder)}));
+  EXPECT_EQ(T.Events[5],
+            (std::vector{Ev(K::Cancel, 0,
+                            static_cast<uint32_t>(
+                                resilience::CancelReason::Deadline)),
+                         Ev(K::Commit, 0, 0, CommitMode::Placeholder)}));
+
+  EXPECT_EQ(T.Events, S.Events);
+  EXPECT_EQ(T.Trace, S.Trace);
+  EXPECT_EQ(T.Failures, S.Failures);
+  EXPECT_EQ(T.Stats, S.Stats);
+  EXPECT_EQ(T.Final, S.Final);
+  EXPECT_EQ(T.Final, Value::of(3)); // Tasks 1, 3 and 6.
 }

@@ -38,12 +38,15 @@
 #      serve_soak --quick checks committed throughput holds within
 #      tolerance under 4x admission-controlled overload.
 #  10. flight recorder + replay: every workload is recorded under the
-#      stage-5 chaos plan on the threaded engine at 1 and 8 shards
-#      (--record-out), each dump must satisfy tools/check_trace.py's
-#      binary checks, and `janus replay` must re-execute it with a
-#      bit-identical commit order and dense clock sequence plus a clean
-#      audit (exit 0); a seeded-divergence probe (--probe-divergence)
-#      must exit nonzero to prove the comparison has teeth;
+#      stage-5 chaos plan on the threaded engine at 1 and 8 shards and
+#      on the simulator, then again on both engines with
+#      --serial-after 1 so escalations and serial commits reach the
+#      dumps (--record-out); each dump must satisfy
+#      tools/check_trace.py's binary checks, and `janus replay` must
+#      re-execute it with a bit-identical commit order and dense clock
+#      sequence plus a clean audit (exit 0); a seeded-divergence probe
+#      (--probe-divergence) must exit nonzero to prove the comparison
+#      has teeth;
 #  11. build matrix: a Release build (-DCMAKE_BUILD_TYPE=Release) and a
 #      lean build (-DJANUS_OBS=OFF), each in its own build directory,
 #      must compile under -Werror and pass ctest.
@@ -207,22 +210,36 @@ echo "-- serve_soak --quick (admission-control overload gate)"
 echo "== [10/11] flight recorder + deterministic replay =="
 # Record every workload under the stage-5 chaos plan — first attempts
 # force-aborted, injected throws, delayed commits, a starved SAT budget
-# — on the threaded engine at 1 and 8 shards, then
-# validate each dump and replay it in the simulator. The replayed
+# — on the threaded engine at 1 and 8 shards and on the simulator, then
+# validate each dump and replay it in the simulator. A second pass on
+# both engines escalates every aborted task at once (--serial-after 1),
+# so the dumps carry escalations and serial commits. The replayed
 # commit order and dense clock sequence must match the recording bit
 # for bit and the hindsight audit of the replayed trace must be CLEAN.
+record_and_replay() {
+  local REC="$1"
+  shift
+  "$REPO_ROOT/build/tools/janus" run "$@" --threads 8 --production \
+    --faults "$CHAOS_FAULTS" --record-out "$REC" >/dev/null
+  python3 "$REPO_ROOT/tools/check_trace.py" "$REC"
+  # No pipe here: the replay's own exit code (5 divergence, 3 unclean
+  # audit) must reach set -e.
+  "$REPO_ROOT/build/tools/janus" replay "$REC" > "$REC.out"
+  grep -E 'divergence|audit:' "$REC.out"
+}
 for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka; do
   for SHARDS in 1 8; do
-    REC="$REPO_ROOT/build/ci_rec_${W}_s${SHARDS}.jrec"
     echo "-- record + replay $W (threads, $SHARDS shard(s), chaos)"
-    "$REPO_ROOT/build/tools/janus" run --workload "$W" --engine threads \
-      --threads 8 --shards "$SHARDS" --production \
-      --faults "$CHAOS_FAULTS" --record-out "$REC" >/dev/null
-    python3 "$REPO_ROOT/tools/check_trace.py" "$REC"
-    # No pipe here: the replay's own exit code (5 divergence, 3 unclean
-    # audit) must reach set -e.
-    "$REPO_ROOT/build/tools/janus" replay "$REC" > "$REC.out"
-    grep -E 'divergence|audit:' "$REC.out"
+    record_and_replay "$REPO_ROOT/build/ci_rec_${W}_s${SHARDS}.jrec" \
+      --workload "$W" --engine threads --shards "$SHARDS"
+  done
+  echo "-- record + replay $W (sim, chaos)"
+  record_and_replay "$REPO_ROOT/build/ci_rec_${W}_sim.jrec" \
+    --workload "$W" --engine sim
+  for E in threads sim; do
+    echo "-- record + replay $W ($E, chaos, --serial-after 1)"
+    record_and_replay "$REPO_ROOT/build/ci_rec_${W}_${E}_serial.jrec" \
+      --workload "$W" --engine "$E" --serial-after 1
   done
 done
 echo "-- divergence probe (tampered schedule must exit nonzero)"

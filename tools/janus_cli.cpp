@@ -188,6 +188,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -751,17 +752,69 @@ void printResilience(const Janus &J, const RunOutcome &O) {
                 F.Attempts, F.Reason.c_str());
 }
 
-int cmdTrain(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
+/// A workload set up on a fresh instance, ready to run.
+struct Session {
+  std::unique_ptr<Workload> W;
+  std::unique_ptr<Janus> J;
+};
+
+/// How a command fills the commutativity cache.
+enum class Learning {
+  Train,        ///< Always train; --cache-in is not read.
+  Artifact,     ///< Load the --cache-in artifact, else train.
+  SequenceOnly, ///< As Artifact, under the sequence detector only.
+};
+
+/// The set-up every workload command shares: looks up --workload,
+/// builds the instance from \p Cfg, sets the workload up on it and
+/// fills its cache per \p How. With \p Report, text mode says whether
+/// the cache was loaded or trained. \returns nullopt, after printing
+/// the error, when the workload is unknown or the artifact cannot be
+/// loaded.
+std::optional<Session> openSession(const CliOptions &Opts,
+                                   const JanusConfig &Cfg, Learning How,
+                                   bool Report = false) {
+  Session S;
+  S.W = workloadByName(Opts.WorkloadName);
+  if (!S.W) {
     std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
                  Opts.WorkloadName.c_str());
-    return 1;
+    return std::nullopt;
   }
-  Janus J(configFor(Opts));
-  W->setup(J);
-  for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-    J.train(W->makeTasks(P));
+  S.J = std::make_unique<Janus>(Cfg);
+  Janus &J = *S.J;
+  S.W->setup(J);
+  if (How == Learning::SequenceOnly && Opts.Detector != DetectorKind::Sequence)
+    return S;
+  if (How != Learning::Train && !Opts.CacheIn.empty()) {
+    std::ifstream In(Opts.CacheIn);
+    std::ostringstream Buffer;
+    Buffer << In.rdbuf();
+    if (!In || !J.importTrainingArtifact(Buffer.str())) {
+      std::fprintf(stderr,
+                   "janus: error: cannot load training artifact '%s'\n",
+                   Opts.CacheIn.c_str());
+      return std::nullopt;
+    }
+    if (Report && !Opts.Json)
+      std::printf("loaded training artifact: %zu cache entries\n",
+                  J.cache()->size());
+    return S;
+  }
+  for (const PayloadSpec &P : S.W->trainingPayloads(Opts.Rounds))
+    J.train(S.W->makeTasks(P));
+  if (Report && !Opts.Json)
+    std::printf("trained: %zu cache entries\n", J.cache()->size());
+  return S;
+}
+
+int cmdTrain(const CliOptions &Opts) {
+  std::optional<Session> Ses =
+      openSession(Opts, configFor(Opts), Learning::Train);
+  if (!Ses)
+    return 1;
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
   const training::TrainStats &TS = J.trainStats();
   std::printf("trained %s: %llu tasks, %llu locations, %llu cache "
               "entries (%llu candidate pairs)\n",
@@ -799,29 +852,12 @@ int cmdTrain(const CliOptions &Opts) {
 /// every cached commutativity condition — the soundness/precision pass
 /// of DESIGN.md §10. Exit 4 on any unsound entry so CI can gate on it.
 int cmdVerify(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
+  std::optional<Session> Ses =
+      openSession(Opts, configFor(Opts), Learning::Artifact);
+  if (!Ses)
     return 1;
-  }
-  Janus J(configFor(Opts));
-  W->setup(J);
-
-  if (!Opts.CacheIn.empty()) {
-    std::ifstream In(Opts.CacheIn);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    if (!In || !J.importTrainingArtifact(Buffer.str())) {
-      std::fprintf(stderr,
-                   "janus: error: cannot load training artifact '%s'\n",
-                   Opts.CacheIn.c_str());
-      return 1;
-    }
-  } else {
-    for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-      J.train(W->makeTasks(P));
-  }
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
 
   if (Opts.SeedUnsound) {
     // A write of one fresh parameter against a write of another never
@@ -876,36 +912,13 @@ int cmdVerify(const CliOptions &Opts) {
 }
 
 int cmdRun(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
+  std::optional<Session> Ses = openSession(Opts, configFor(Opts),
+                                         Learning::SequenceOnly,
+                                         /*Report=*/true);
+  if (!Ses)
     return 1;
-  }
-  Janus J(configFor(Opts));
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-      if (!Opts.Json)
-        std::printf("loaded training artifact: %zu cache entries\n",
-                    J.cache()->size());
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-      if (!Opts.Json)
-        std::printf("trained: %zu cache entries\n", J.cache()->size());
-    }
-  }
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
 
   // SIGINT/SIGTERM cancels the in-flight run cooperatively (global
   // shutdown token checked at attempt boundaries and inside backoff
@@ -1015,33 +1028,14 @@ int cmdServe(const CliOptions &Opts) {
   using namespace janus::serve;
   using SteadyClock = std::chrono::steady_clock;
 
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = Opts.Audit; // Per-batch audits replay the trace.
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::optional<Session> Ses =
+      openSession(Opts, Cfg, Learning::SequenceOnly);
+  if (!Ses)
+    return 1;
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
 
   // Submissions name tasks by index into the workload's production
   // task set (modulo), so the mix a client generates is the mix the
@@ -1259,33 +1253,14 @@ int cmdServe(const CliOptions &Opts) {
 /// abort to its conflict source (location, operation pair, Figure 8
 /// verdict) and print the ranked table. See obs/Attribution.h.
 int cmdExplain(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = true; // Attribution replays the recorded attempts.
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::optional<Session> Ses =
+      openSession(Opts, Cfg, Learning::SequenceOnly);
+  if (!Ses)
+    return 1;
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
 
   PayloadSpec Payload{Opts.Seed, Opts.Production};
   RunOutcome O = W->runOn(J, Payload);
@@ -1348,33 +1323,14 @@ int cmdExplain(const CliOptions &Opts) {
 }
 
 int cmdAudit(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = true;
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::optional<Session> Ses =
+      openSession(Opts, Cfg, Learning::SequenceOnly);
+  if (!Ses)
+    return 1;
+  auto &W = Ses->W;
+  Janus &J = *Ses->J;
 
   // Build the task set once so the audit replays the exact bodies the
   // run executed.
@@ -1464,7 +1420,7 @@ int cmdReplay(const CliOptions &Opts) {
       if (!St.Committed)
         continue;
       St.Committed = false;
-      St.AbortReason = obs::RecAbortConflict;
+      St.AbortReason = obs::AbortReason::Conflict;
       St.End = St.CommitTime > 0 ? St.CommitTime - 1 : 0;
       St.CommitTime = 0;
       St.Mode = 0;
