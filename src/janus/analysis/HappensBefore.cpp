@@ -105,10 +105,7 @@ analysis::checkHappensBefore(const stm::AuditTrace &Trace,
   // For each committed transaction, gather its concurrent predecessors
   // (the window the detector admitted it against) and re-examine every
   // shared location.
-  std::vector<conflict::Decomposition> Decomps(Committed.size());
-  for (size_t I = 0; I != Committed.size(); ++I)
-    Decomps[I] = conflict::decompose(*Committed[I]->Log);
-
+  conflict::WindowJoin Join;
   for (size_t J = 0; J != Committed.size(); ++J) {
     const TraceEvent &Ej = *Committed[J];
     // Concurrent predecessors form a suffix of [0, J): commits are
@@ -134,12 +131,11 @@ analysis::checkHappensBefore(const stm::AuditTrace &Trace,
     WindowLogs.reserve(Window.size());
     for (size_t I : Window)
       WindowLogs.push_back(Committed[I]->Log);
-    conflict::Decomposition Theirs = conflict::decomposeAll(WindowLogs);
+    Join.join(*Ej.Log, WindowLogs);
 
-    for (const auto &[Loc, MineSeq] : Decomps[J]) {
-      auto It = Theirs.find(Loc);
-      if (It == Theirs.end())
-        continue;
+    for (const stm::TxLog::Run *R : Join.shared()) {
+      const Location &Loc = Join.loc(*R);
+      const symbolic::LocOpSeq &MineSeq = Join.mine(*R);
       // Per-location begin refinement. Under the sharded engine Ej's
       // begin point differs per location (the owning shard's
       // acquisition stamp): a window member that committed at or
@@ -150,16 +146,15 @@ analysis::checkHappensBefore(const stm::AuditTrace &Trace,
       // single acquired shard) beginTimeFor returns BeginTime, which
       // every window member's commit already exceeds: no-op.
       const uint64_t LocBegin = Ej.beginTimeFor(Loc, Trace.Shards);
-      const symbolic::LocOpSeq *TheirSeq = &It->second;
+      const symbolic::LocOpSeq *TheirSeq = &Join.theirs(*R);
       symbolic::LocOpSeq Refined;
       if (LocBegin != Ej.BeginTime) {
         for (size_t I : Window) {
           if (Committed[I]->CommitTime <= LocBegin)
             continue;
-          auto TheirIt = Decomps[I].find(Loc);
-          if (TheirIt != Decomps[I].end())
-            Refined.insert(Refined.end(), TheirIt->second.begin(),
-                           TheirIt->second.end());
+          const stm::TxLog &Their = *Committed[I]->Log;
+          if (const stm::TxLog::Run *TR = Their.find(Loc))
+            Their.appendOps(*TR, Refined);
         }
         if (Refined.empty())
           continue;
@@ -176,7 +171,8 @@ analysis::checkHappensBefore(const stm::AuditTrace &Trace,
       // location and is concurrent with Ej there (diagnostic only;
       // the re-check uses the full refined window).
       for (size_t I : Window) {
-        if (Committed[I]->CommitTime > LocBegin && Decomps[I].count(Loc)) {
+        if (Committed[I]->CommitTime > LocBegin &&
+            Committed[I]->Log->find(Loc)) {
           F.FirstTid = Committed[I]->Tid;
           break;
         }

@@ -20,7 +20,7 @@ struct TaintIndex {
   std::unordered_set<uint32_t> RelaxedTids;
   std::unordered_map<Location, std::set<uint32_t>> Writers;
 
-  void addLog(uint32_t Tid, const stm::TxLog &Log,
+  void addLog(uint32_t Tid, const stm::LogEntries &Log,
               const ObjectRegistry &Reg) {
     for (const stm::LogEntry &E : Log) {
       const RelaxationSpec &Relax = Reg.info(E.Loc.Obj).Relax;
@@ -121,7 +121,7 @@ analysis::checkSerializability(const stm::AuditTrace &Trace,
     ++Report.TxReplayed;
     Taint.addLog(E->Tid, Tx.log(), Reg);
     if (E->Log)
-      Taint.addLog(E->Tid, *E->Log, Reg);
+      Taint.addLog(E->Tid, E->Log->entries(), Reg);
   }
 
   // --- Diff the serial result against the recorded final state. -------

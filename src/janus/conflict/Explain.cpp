@@ -52,23 +52,22 @@ conflict::explainConflict(const stm::Snapshot &Entry, const stm::TxLog &Mine,
   if (Committed.empty())
     return Out;
 
-  Decomposition MineD = decompose(Mine);
-  Decomposition TheirsD = decomposeAll(Committed);
-  for (const auto &[Loc, MySeq] : MineD) {
-    auto It = TheirsD.find(Loc);
-    if (It == TheirsD.end())
-      continue;
+  WindowJoin Join;
+  Join.join(Mine, Committed);
+  for (const stm::TxLog::Run *R : Join.shared()) {
+    const Location &Loc = Join.loc(*R);
+    const LocOpSeq &MySeq = Join.mine(*R);
+    const LocOpSeq &TheirSeq = Join.theirs(*R);
     ChecksSpec Checks = checksFor(Reg.info(Loc.Obj).Relax);
     Value EntryVal = stm::snapshotValue(Entry, Loc);
-    std::string Reason =
-        explainLocation(EntryVal, MySeq, It->second, Checks);
+    std::string Reason = explainLocation(EntryVal, MySeq, TheirSeq, Checks);
     if (Reason.empty())
       continue;
     Out.Conflicting = true;
     Out.Loc = Loc;
     Out.LocationName = Reg.locationName(Loc);
     Out.MineSeq = sequenceToString(MySeq);
-    Out.TheirsSeq = sequenceToString(It->second);
+    Out.TheirsSeq = sequenceToString(TheirSeq);
     Out.Reason = std::move(Reason);
     return Out;
   }

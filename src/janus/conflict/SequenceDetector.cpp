@@ -391,8 +391,10 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
   if (Committed.empty())
     return false; // Validity: empty conflict history never conflicts.
 
-  Decomposition MineD = decompose(Mine);
-  Decomposition TheirsD = decomposeAll(Committed);
+  // The join's buffers are reused per thread: a detection call
+  // allocates only while they grow.
+  static thread_local WindowJoin Join;
+  Join.join(Mine, Committed);
 
   // Adaptive degradation deadline for this whole call (checked per
   // location; 0 = unlimited).
@@ -404,19 +406,20 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
                std::chrono::microseconds(Config.DetectTimeBudgetMicros);
 
   // Private locations are safely ignored: only the common domain is
-  // analyzed (Figure 8: loc ∈ DOM(mt) ∩ DOM(mc)).
-  for (const auto &[Loc, MySeq] : MineD) {
-    auto It = TheirsD.find(Loc);
-    if (It == TheirsD.end())
-      continue;
+  // analyzed (Figure 8: loc ∈ DOM(mt) ∩ DOM(mc)), in ascending
+  // location order.
+  for (const stm::TxLog::Run *R : Join.shared()) {
+    const Location &Loc = Join.loc(*R);
+    const LocOpSeq &MySeq = Join.mine(*R);
+    const LocOpSeq &TheirSeq = Join.theirs(*R);
     ++Stats.PairQueries;
     const ObjectInfo &Info = Reg.info(Loc.Obj);
     Value EntryVal = stm::snapshotValue(Entry, Loc);
     bool Degrade =
         (HasDeadline && DetClock::now() >= Deadline) ||
         (Config.OnlineOpBudget != 0 &&
-         MySeq.size() + It->second.size() > Config.OnlineOpBudget);
-    if (locationConflicts(EntryVal, MySeq, It->second, Info, Degrade)) {
+         MySeq.size() + TheirSeq.size() > Config.OnlineOpBudget);
+    if (locationConflicts(EntryVal, MySeq, TheirSeq, Info, Degrade)) {
       ++Stats.ConflictsFound;
       return true;
     }

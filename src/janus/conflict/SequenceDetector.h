@@ -5,7 +5,8 @@
 /// Figure 8).
 ///
 /// DETECTCONFLICTS decomposes the transaction's log and its conflict
-/// history into per-location sequences and tests each common location
+/// history into per-location sequences — a join of the logs' location
+/// indexes (conflict/Decompose.h) — and tests each common location
 /// with CONFLICT. In practice CONFLICT consults the commutativity cache
 /// populated during training: the sequences are symbolized and
 /// abstracted, the (location class, signature pair) is looked up, and

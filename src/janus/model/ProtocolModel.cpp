@@ -7,7 +7,7 @@ using namespace janus::model;
 using namespace janus::stm;
 
 TxLog model::evaluateScript(const Script &S, const Snapshot &Entry) {
-  TxLog Log;
+  LogEntries Log;
   Log.reserve(S.size());
   Snapshot Private = Entry;
   int64_t LastRead = 0;
@@ -23,7 +23,7 @@ TxLog model::evaluateScript(const Script &S, const Snapshot &Entry) {
     Private = applyToSnapshot(Private, Out.Loc, Out.Op);
     Log.push_back(std::move(Out));
   }
-  return Log;
+  return TxLog(std::move(Log));
 }
 
 namespace {

@@ -5,21 +5,6 @@ using namespace janus::stm;
 
 ConflictDetector::~ConflictDetector() = default;
 
-bool stm::writeSetsConflict(const AccessSets &Mine, const AccessSets &Their) {
-  auto Overlaps = [](const std::unordered_set<Location> &A,
-                     const std::unordered_set<Location> &B) {
-    const auto &Small = A.size() <= B.size() ? A : B;
-    const auto &Large = A.size() <= B.size() ? B : A;
-    for (const Location &L : Small)
-      if (Large.count(L))
-        return true;
-    return false;
-  };
-  return Overlaps(Mine.Write, Their.Write) ||
-         Overlaps(Mine.Write, Their.Read) ||
-         Overlaps(Mine.Read, Their.Write);
-}
-
 bool WriteSetDetector::detectConflicts(const Snapshot &Entry,
                                        const TxLog &Mine,
                                        const std::vector<TxLogRef> &Committed,
@@ -28,11 +13,15 @@ bool WriteSetDetector::detectConflicts(const Snapshot &Entry,
   (void)Reg;
   if (Committed.empty())
     return false; // Validity: empty conflict history never conflicts.
-  AccessSets MySets = accessSets(Mine);
   ++Stats.PairQueries;
   for (const TxLogRef &Log : Committed) {
-    AccessSets Theirs = accessSets(*Log);
-    if (writeSetsConflict(MySets, Theirs)) {
+    // Both logs touch each joined location, so it conflicts exactly
+    // when either side writes it.
+    const bool Clean = joinRuns(
+        Mine, *Log, [](const TxLog::Run &M, const TxLog::Run &T) {
+          return !M.Writes && !T.Writes;
+        });
+    if (!Clean) {
       ++Stats.ConflictsFound;
       return true;
     }

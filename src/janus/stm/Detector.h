@@ -60,8 +60,10 @@ protected:
 
 /// The write-set baseline detector. Implemented — as in the paper's
 /// evaluation (§7.1) — as a subset of the sequence-based machinery:
-/// it reduces the logs to read/write location sets and tests for an
-/// overlapping location with at least one write.
+/// it joins the location indexes of the logs and tests each common
+/// location for a write on either side (each run carries its
+/// read/write flags; an Add counts as both, a read-modify-write at
+/// memory level).
 class WriteSetDetector : public ConflictDetector {
 public:
   bool detectConflicts(const Snapshot &Entry, const TxLog &Mine,
@@ -69,10 +71,6 @@ public:
                        const ObjectRegistry &Reg) override;
   std::string name() const override { return "write-set"; }
 };
-
-/// Helper shared by detectors: true when the location sets of \p Mine
-/// and \p Their overlap with at least one write involved.
-bool writeSetsConflict(const AccessSets &Mine, const AccessSets &Their);
 
 } // namespace stm
 } // namespace janus

@@ -336,10 +336,12 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t No,
     O->span(Lane, "body", Tid, No, BodyTs, O->nowUs() - BodyTs, "shards",
             static_cast<double>(std::popcount(Mask)));
   }
-  // A thrown attempt's partial log is discarded.
+  // Freeze the log: moved out of the context and indexed by location
+  // once, for this attempt's detection rounds and every later reader
+  // of the history. A thrown attempt's partial log is discarded.
   TxLogRef Log = !Ran || Tx.log().empty()
                      ? emptyTxLog()
-                     : std::make_shared<const TxLog>(Tx.log());
+                     : std::make_shared<const TxLog>(Tx.takeLog());
   // The views (and their acquisition stamps) stay live until
   // releaseAttempt, so every transition below reads them in place.
   const AttemptState State{&Log, Worker.Views.data(), Mask};
@@ -398,7 +400,7 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t No,
       Worker.Attempt[shardIndexOf(E.Loc, NumShards)].Projection.push_back(E);
     for (uint32_t I = 0; I != NumTouched; ++I) {
       AttemptShard &AS = Worker.Attempt[Touched[I]];
-      AS.ProjRef = std::make_shared<const TxLog>(AS.Projection);
+      AS.ProjRef = std::make_shared<const TxLog>(std::move(AS.Projection));
     }
   }
 
@@ -431,7 +433,7 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t No,
       const double DetectTs = A.now();
       AS.Window->collectUpTo(NowVer, AS.OpsC);
       ++Stats.ConflictChecks;
-      const TxLog &Mine = Single ? *Log : AS.Projection;
+      const TxLog &Mine = Single ? *Log : *AS.ProjRef;
       const bool C =
           Detector.detectConflicts(Worker.Views[S].Entry, Mine, AS.OpsC, Reg);
       AS.Detected = NowVer;
@@ -470,7 +472,7 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t No,
         AS.Replayed = Worker.Views[S].Private;
       } else {
         AS.Replayed = AS.Now->State;
-        const TxLog &Mine = Single ? *Log : AS.Projection;
+        const TxLog &Mine = Single ? *Log : *AS.ProjRef;
         for (const LogEntry &E : Mine)
           AS.Replayed = applyToSnapshot(AS.Replayed, E.Loc, E.Op);
       }
@@ -574,7 +576,7 @@ void ShardedRuntime::commitSerial(const TaskFn &Task, Lifecycle::Attempt A,
     Mask = Tx.accessedShards();
     if (Ran) {
       if (!Tx.log().empty())
-        Log = std::make_shared<const TxLog>(Tx.log());
+        Log = std::make_shared<const TxLog>(Tx.takeLog());
       if (uint64_t Delay = LC.commitDelay(A))
         backoff(Delay);
     } else {
@@ -597,7 +599,8 @@ void ShardedRuntime::commitSerial(const TaskFn &Task, Lifecycle::Attempt A,
       // privatized view is entry-plus-log of the live state.
       const uint64_t Ver = AS.Now->Version + 1;
       TxLogRef ShardLog =
-          Single ? Log : std::make_shared<const TxLog>(AS.Projection);
+          Single ? Log
+                 : std::make_shared<const TxLog>(std::move(AS.Projection));
       Sh.History->append(Ver, std::move(ShardLog));
       ShardState *Next = allocState(Sh);
       Next->GlobalTime = CommitTime;

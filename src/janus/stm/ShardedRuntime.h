@@ -243,9 +243,10 @@ private:
     std::optional<HistoryLog::Reader> Window;
     std::vector<TxLogRef> OpsC;  ///< Collected shard window.
     /// Shard projection of the attempt's log (only for cross-shard
-    /// attempts; single-shard attempts use the full log).
-    TxLog Projection;
-    TxLogRef ProjRef; ///< Shared form of Projection, for the history.
+    /// attempts; single-shard attempts use the full log), built here
+    /// and then moved into ProjRef.
+    LogEntries Projection;
+    TxLogRef ProjRef; ///< Frozen Projection: detection and the history.
     /// Version up to which detection already ran (skip re-detection
     /// when a validation round saw no new commits in this shard).
     uint64_t Detected = 0;

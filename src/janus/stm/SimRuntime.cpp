@@ -23,7 +23,9 @@ SimRuntime::Attempt SimRuntime::execute(const std::vector<TaskFn> &Tasks,
   Tx.endAttempt();
   // A thrown attempt's partial log is discarded — exception safety
   // means no effect of the doomed body can ever reach the shared state.
-  A.Log = A.Threw ? emptyTxLog() : std::make_shared<const TxLog>(Tx.log());
+  // Otherwise the log is frozen: moved out and indexed by location once.
+  A.Log = A.Threw ? emptyTxLog()
+                  : std::make_shared<const TxLog>(Tx.takeLog());
   A.ExecCost = Config.Costs.BeginCost + Tx.virtualCost() +
                Config.Costs.PerLogOp * static_cast<double>(A.Log->size());
   return A;
@@ -369,7 +371,8 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     Tx.endAttempt();
     VirtualNow += Config.Costs.BeginCost + Tx.virtualCost() +
                   Config.Costs.PerLogOp * static_cast<double>(Tx.log().size());
-    return *Threw ? emptyTxLog() : std::make_shared<const TxLog>(Tx.log());
+    return *Threw ? emptyTxLog()
+                  : std::make_shared<const TxLog>(Tx.takeLog());
   };
 
   for (const ReplayStep &S : Sched.Steps) {

@@ -134,7 +134,14 @@ public:
   /// snapshot per acquired shard (ShardBackend::View::Entry).
   const Snapshot &entrySnapshot() const { return Entry; }
   const Snapshot &privatizedState() const { return Private; }
-  const TxLog &log() const { return Log; }
+  const LogEntries &log() const { return Log; }
+  /// Moves the log out (the engine freezes it into a TxLog); the
+  /// context's log is empty afterwards.
+  LogEntries takeLog() {
+    LogEntries Out = std::move(Log);
+    Log.clear();
+    return Out;
+  }
   double virtualCost() const { return VirtualCost; }
 
   /// Sharded mode: bitmask of shard indices this attempt touched
@@ -167,7 +174,7 @@ private:
 
   Snapshot Entry;   ///< SharedSnapshot: state at Begin.
   Snapshot Private; ///< SharedPrivatized: state seen by this attempt.
-  TxLog Log;
+  LogEntries Log;
   uint32_t Tid;
   const ObjectRegistry &Reg;
   RunStats *Stats = nullptr;

@@ -3,12 +3,13 @@
 using namespace janus;
 using namespace janus::training;
 
-DependenceGraph::DependenceGraph(const std::vector<stm::TxLog> &TaskLogs) {
+DependenceGraph::DependenceGraph(
+    const std::vector<stm::LogEntries> &TaskLogs) {
   // Last node index per location, for chain edges.
   std::map<Location, uint32_t> LastOnLocation;
 
   for (size_t T = 0, E = TaskLogs.size(); T != E; ++T) {
-    const stm::TxLog &Log = TaskLogs[T];
+    const stm::LogEntries &Log = TaskLogs[T];
     for (size_t I = 0, N = Log.size(); I != N; ++I) {
       uint32_t NodeIdx = static_cast<uint32_t>(Nodes.size());
       Nodes.push_back(OpNode{static_cast<uint32_t>(T + 1),

@@ -47,7 +47,7 @@ class DependenceGraph {
 public:
   /// Builds the graph from the per-task logs of a training run (in
   /// execution order).
-  explicit DependenceGraph(const std::vector<stm::TxLog> &TaskLogs);
+  explicit DependenceGraph(const std::vector<stm::LogEntries> &TaskLogs);
 
   const std::vector<OpNode> &nodes() const { return Nodes; }
 

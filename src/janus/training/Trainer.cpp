@@ -28,7 +28,7 @@ void Trainer::trainOn(stm::Snapshot &State,
   const double ExecTs = O ? O->nowUs() : 0.0;
 
   // Sequential, synchronization-free execution with logging.
-  std::vector<stm::TxLog> Logs;
+  std::vector<stm::LogEntries> Logs;
   Logs.reserve(Tasks.size());
   for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
     stm::TxContext Tx(State, static_cast<uint32_t>(I + 1), Reg);
@@ -38,12 +38,12 @@ void Trainer::trainOn(stm::Snapshot &State,
       // A throwing training payload contributes nothing: its partial
       // log is neither applied nor mined (the runtimes discard such
       // attempts too), and the remaining payloads still train.
-      Logs.push_back(stm::TxLog{});
+      Logs.emplace_back();
       continue;
     }
     for (const stm::LogEntry &Entry : Tx.log())
       State = stm::applyToSnapshot(State, Entry.Loc, Entry.Op);
-    Logs.push_back(Tx.log());
+    Logs.push_back(Tx.takeLog());
   }
 
   if (O)

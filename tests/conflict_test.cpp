@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_set>
+
 using namespace janus;
 using namespace janus::conflict;
 using namespace janus::symbolic;
@@ -39,28 +42,46 @@ TxLogRef logOf(std::initializer_list<LogEntry> Entries) {
 // ---------------------------------------------------------------------------
 
 TEST(DecomposeTest, SplitsByLocationPreservingOrder) {
-  ObjectId A{1}, B{2};
+  ObjectId A{1}, B{2}, C{3};
   TxLog Log{{Location(A), LocOp::add(1)},
             {Location(B), LocOp::write(Value::of(5))},
             {Location(A), LocOp::add(-1)},
-            {Location(A, 3), LocOp::read()}};
-  Decomposition D = decompose(Log);
-  EXPECT_EQ(D.size(), 3u);
-  ASSERT_EQ(D[Location(A)].size(), 2u);
-  EXPECT_EQ(D[Location(A)][0], LocOp::add(1));
-  EXPECT_EQ(D[Location(A)][1], LocOp::add(-1));
-  EXPECT_EQ(D[Location(B)].size(), 1u);
-  EXPECT_EQ(D[Location(A, 3)].size(), 1u);
+            {Location(A, 3), LocOp::read()},
+            {Location(C), LocOp::read()}};
+  // The history touches every location but C.
+  auto Theirs = logOf({{Location(B), LocOp::read()},
+                       {Location(A, 3), LocOp::add(2)},
+                       {Location(A), LocOp::read()}});
+  WindowJoin J;
+  J.join(Log, {Theirs});
+  ASSERT_EQ(J.shared().size(), 3u);
+  // Ascending Location order: A, A[3], B.
+  const stm::TxLog::Run &RA = *J.shared()[0];
+  EXPECT_EQ(J.loc(RA), Location(A));
+  EXPECT_EQ(J.mine(RA), (LocOpSeq{LocOp::add(1), LocOp::add(-1)}));
+  EXPECT_EQ(J.theirs(RA), (LocOpSeq{LocOp::read()}));
+  EXPECT_EQ(J.loc(*J.shared()[1]), Location(A, 3));
+  EXPECT_EQ(J.mine(*J.shared()[1]), (LocOpSeq{LocOp::read()}));
+  EXPECT_EQ(J.loc(*J.shared()[2]), Location(B));
+  EXPECT_EQ(J.theirs(*J.shared()[2]), (LocOpSeq{LocOp::read()}));
 }
 
 TEST(DecomposeTest, ConcatenatesCommittedLogsInOrder) {
   ObjectId A{1};
+  TxLog Mine{{Location(A), LocOp::read()}};
   auto L1 = logOf({{Location(A), LocOp::write(Value::of(1))}});
-  auto L2 = logOf({{Location(A), LocOp::write(Value::of(2))}});
-  Decomposition D = decomposeAll({L1, L2});
-  ASSERT_EQ(D[Location(A)].size(), 2u);
-  EXPECT_EQ(D[Location(A)][0].Operand, Value::of(1));
-  EXPECT_EQ(D[Location(A)][1].Operand, Value::of(2));
+  auto L2 = logOf({{Location(A, 1), LocOp::write(Value::of(9))}});
+  auto L3 = logOf({{Location(A), LocOp::write(Value::of(2))}});
+  WindowJoin J;
+  J.join(Mine, {L1, L2, L3});
+  ASSERT_EQ(J.shared().size(), 1u);
+  const LocOpSeq &Theirs = J.theirs(*J.shared()[0]);
+  ASSERT_EQ(Theirs.size(), 2u);
+  EXPECT_EQ(Theirs[0].Operand, Value::of(1));
+  EXPECT_EQ(Theirs[1].Operand, Value::of(2));
+  // The buffers are reused: a disjoint window leaves nothing behind.
+  J.join(Mine, {L2});
+  EXPECT_TRUE(J.shared().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +362,7 @@ class OnlineConflictProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OnlineConflictProperty, MatchesBruteForce) {
   Rng R(GetParam());
-  for (int Iter = 0; Iter != 400; ++Iter) {
+  for (int Iter = 0; Iter != 1000; ++Iter) {
     LocOpSeq A = randomSeq(R), B = randomSeq(R);
     Value Entry = Value::of(R.range(-3, 3));
     EXPECT_EQ(conflictOnline(Entry, A, B),
@@ -816,4 +837,282 @@ TEST(SpecDispatchTest, SpecVerdictsMatchOnlineReference) {
       EXPECT_EQ(V == SpecVerdict::Conflicts, Ref)
           << sequenceToString(Mine) << " vs " << sequenceToString(Theirs);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the index join against the map-based DECOMPOSE.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Reference copy of the map-based decomposition and access sets the
+/// detectors computed per call before logs were indexed by location.
+namespace reference {
+
+using Decomposition = std::map<Location, LocOpSeq>;
+
+Decomposition decompose(const TxLog &Log) {
+  Decomposition Out;
+  for (const LogEntry &E : Log)
+    Out[E.Loc].push_back(E.Op);
+  return Out;
+}
+
+Decomposition decomposeAll(const std::vector<TxLogRef> &Logs) {
+  Decomposition Out;
+  for (const TxLogRef &Log : Logs)
+    for (const LogEntry &E : *Log)
+      Out[E.Loc].push_back(E.Op);
+  return Out;
+}
+
+struct AccessSets {
+  std::unordered_set<Location> Read;
+  std::unordered_set<Location> Write;
+};
+
+AccessSets accessSets(const TxLog &Log) {
+  AccessSets Sets;
+  for (const LogEntry &E : Log) {
+    switch (E.Op.Kind) {
+    case LocOpKind::Read:
+      Sets.Read.insert(E.Loc);
+      break;
+    case LocOpKind::Write:
+      Sets.Write.insert(E.Loc);
+      break;
+    case LocOpKind::Add:
+      Sets.Read.insert(E.Loc);
+      Sets.Write.insert(E.Loc);
+      break;
+    }
+  }
+  return Sets;
+}
+
+bool writeSetsConflict(const AccessSets &Mine, const AccessSets &Their) {
+  auto Overlaps = [](const std::unordered_set<Location> &A,
+                     const std::unordered_set<Location> &B) {
+    for (const Location &L : A)
+      if (B.count(L))
+        return true;
+    return false;
+  };
+  return Overlaps(Mine.Write, Their.Write) ||
+         Overlaps(Mine.Write, Their.Read) || Overlaps(Mine.Read, Their.Write);
+}
+
+/// The write-set detector over the reference access sets.
+bool writeSetDetect(stm::DetectorStats &Stats, const TxLog &Mine,
+                    const std::vector<TxLogRef> &Committed) {
+  if (Committed.empty())
+    return false;
+  AccessSets MySets = accessSets(Mine);
+  ++Stats.PairQueries;
+  for (const TxLogRef &Log : Committed)
+    if (writeSetsConflict(MySets, accessSets(*Log))) {
+      ++Stats.ConflictsFound;
+      return true;
+    }
+  return false;
+}
+
+/// The sequence detector over the reference decomposition: each common
+/// location, in ascending order, is handed to \p D as a one-location
+/// query (whose decomposition is trivial), so \p D answers exactly the
+/// per-location queries the map-based detector asked, in its order.
+bool sequenceDetect(SequenceDetector &D, const stm::Snapshot &Entry,
+                    const TxLog &Mine, const std::vector<TxLogRef> &Committed,
+                    const ObjectRegistry &Reg) {
+  if (Committed.empty())
+    return false;
+  auto LogAt = [](const Location &Loc, const LocOpSeq &Seq) {
+    stm::LogEntries Log;
+    for (const LocOp &Op : Seq)
+      Log.push_back({Loc, Op});
+    return TxLog(std::move(Log));
+  };
+  Decomposition MineD = decompose(Mine);
+  Decomposition TheirsD = decomposeAll(Committed);
+  for (const auto &[Loc, MySeq] : MineD) {
+    auto It = TheirsD.find(Loc);
+    if (It == TheirsD.end())
+      continue;
+    auto Theirs = std::make_shared<const TxLog>(LogAt(Loc, It->second));
+    if (D.detectConflicts(Entry, LogAt(Loc, MySeq), {Theirs}, Reg))
+      return true;
+  }
+  return false;
+}
+
+} // namespace reference
+
+std::vector<uint64_t> statsOf(const stm::DetectorStats &S) {
+  return {S.PairQueries.load(),    S.SpecHits.load(),
+          S.SpecAbstains.load(),   S.CacheHits.load(),
+          S.CacheMisses.load(),    S.OnlineChecks.load(),
+          S.WriteSetChecks.load(), S.ConflictsFound.load(),
+          S.DegradedQueries.load(), S.SignatureInternHits.load()};
+}
+
+/// Random logs over objects of every spec'd ADT kind, relaxed and
+/// plain objects, with unkeyed, integer and string locations. Each
+/// object keeps one value type, so Adds only ever meet integers.
+struct DiffWorld {
+  enum class Keys { None, Int, String };
+  enum class Vals { Int, String, Bool };
+  struct Obj {
+    ObjectId Id;
+    Keys K;
+    Vals V;
+  };
+  ObjectRegistry Reg;
+  std::vector<Obj> Objs;
+
+  DiffWorld() {
+    auto Add = [this](const char *Name, AdtKind Kind, RelaxationSpec Relax,
+                      Keys K, Vals V) {
+      ObjectId Id = Reg.registerObject(Name, "", Relax);
+      Reg.declareAdt(Id, Kind);
+      Objs.push_back({Id, K, V});
+    };
+    Add("counter", AdtKind::Counter, {}, Keys::None, Vals::Int);
+    Add("counters", AdtKind::Counter, {}, Keys::Int, Vals::Int);
+    Add("map", AdtKind::Map, {}, Keys::String, Vals::Int);
+    Add("names", AdtKind::Map, {}, Keys::String, Vals::String);
+    Add("queue", AdtKind::Queue, {}, Keys::Int, Vals::Int);
+    Add("bits", AdtKind::BitSet, {}, Keys::Int, Vals::Bool);
+    Add("maxColor", AdtKind::None, {/*TolerateRAW=*/true, false}, Keys::None,
+        Vals::Int);
+    Add("ctx", AdtKind::None, {false, /*TolerateWAW=*/true}, Keys::Int,
+        Vals::Int);
+    Add("cells", AdtKind::None, {}, Keys::Int, Vals::Int);
+  }
+
+  /// A location of object \p O; \p Far picks keys no near location
+  /// uses, so windows can be made disjoint from the attempt.
+  Location loc(Rng &R, const Obj &O, bool Far) const {
+    const int64_t K = R.range(0, 3) + (Far ? 100 : 0);
+    switch (O.K) {
+    case Keys::None:
+      return Far ? Location(O.Id, K) : Location(O.Id);
+    case Keys::Int:
+      return Location(O.Id, K);
+    case Keys::String:
+      return Location(O.Id, std::string(1, static_cast<char>('a' + K % 26)) +
+                                std::to_string(K));
+    }
+    return Location(O.Id);
+  }
+
+  Value value(Rng &R, const Obj &O) const {
+    switch (O.V) {
+    case Vals::Int:
+      return Value::of(R.range(-2, 3));
+    case Vals::String:
+      return Value::of(std::string(R.below(2) ? "x" : "y"));
+    case Vals::Bool:
+      return Value::of(R.below(2) == 1);
+    }
+    return Value::absent();
+  }
+
+  LocOp op(Rng &R, const Obj &O) const {
+    switch (R.below(O.V == Vals::Int ? 3 : 2)) {
+    case 0:
+      return LocOp::read(R.below(3) ? value(R, O) : Value::absent());
+    case 1:
+      return LocOp::write(value(R, O));
+    default:
+      return LocOp::add(R.range(-2, 2));
+    }
+  }
+
+  TxLog log(Rng &R, bool Far) const {
+    stm::LogEntries Log;
+    for (int I = 0, E = static_cast<int>(R.below(9)); I != E; ++I) {
+      const Obj &O = Objs[R.below(Objs.size())];
+      Log.push_back({loc(R, O, Far), op(R, O)});
+    }
+    return TxLog(std::move(Log));
+  }
+
+  stm::Snapshot entry(Rng &R) const {
+    stm::Snapshot S;
+    for (const Obj &O : Objs)
+      for (int I = 0; I != 3; ++I)
+        if (R.below(2))
+          S = S.set(loc(R, O, false), value(R, O));
+    return S;
+  }
+};
+
+} // namespace
+
+TEST(DetectorDifferentialTest, IndexJoinMatchesMapDecomposition) {
+  DiffWorld W;
+  struct Variant {
+    SpecMode Specs;
+    bool Online;
+    uint64_t OpBudget;
+  };
+  std::vector<Variant> Variants;
+  for (SpecMode M : {SpecMode::Off, SpecMode::On, SpecMode::Only})
+    for (Variant V : {Variant{M, true, 0}, Variant{M, false, 0},
+                      Variant{M, true, 6}})
+      Variants.push_back(V);
+
+  std::vector<uint64_t> Reached(statsOf(stm::DetectorStats()).size());
+  for (const Variant &V : Variants) {
+    SequenceDetectorConfig Cfg;
+    Cfg.Specs = V.Specs;
+    Cfg.OnlineFallback = V.Online;
+    Cfg.MemoizeOnline = V.Online;
+    Cfg.OnlineOpBudget = V.OpBudget;
+    // Each side learns online from its own query stream: equal streams
+    // keep the two caches (and memos) equal.
+    SequenceDetector New(std::make_shared<CommutativityCache>(), Cfg);
+    SequenceDetector Ref(std::make_shared<CommutativityCache>(), Cfg);
+    stm::WriteSetDetector NewWs;
+    stm::DetectorStats RefWs;
+    Rng R(0x5eed + static_cast<uint64_t>(V.Specs) * 7 + V.Online * 3 +
+          V.OpBudget);
+    uint64_t Conflicts = 0;
+    for (int Iter = 0; Iter != 1000; ++Iter) {
+      stm::Snapshot Entry = W.entry(R);
+      TxLog Mine = W.log(R, /*Far=*/false);
+      // 0–8 committed logs; about one window in four is disjoint from
+      // the attempt's keys.
+      const bool Disjoint = R.below(4) == 0;
+      std::vector<TxLogRef> Committed;
+      for (int I = 0, E = static_cast<int>(R.below(9)); I != E; ++I)
+        Committed.push_back(std::make_shared<const TxLog>(
+            W.log(R, Disjoint || R.below(5) == 0)));
+
+      std::string Where = std::string("spec ") + specModeName(V.Specs) +
+                          " online " + std::to_string(V.Online) +
+                          " budget " + std::to_string(V.OpBudget) +
+                          " iteration " + std::to_string(Iter);
+      const bool Got = New.detectConflicts(Entry, Mine, Committed, W.Reg);
+      const bool Want =
+          reference::sequenceDetect(Ref, Entry, Mine, Committed, W.Reg);
+      ASSERT_EQ(Got, Want) << Where;
+      ASSERT_EQ(statsOf(New.stats()), statsOf(Ref.stats())) << Where;
+
+      const bool GotWs = NewWs.detectConflicts(Entry, Mine, Committed, W.Reg);
+      const bool WantWs = reference::writeSetDetect(RefWs, Mine, Committed);
+      ASSERT_EQ(GotWs, WantWs) << Where;
+      ASSERT_EQ(statsOf(NewWs.stats()), statsOf(RefWs)) << Where;
+      Conflicts += Got;
+    }
+    // The generator must exercise both verdicts and real queries.
+    EXPECT_GT(Conflicts, 100u) << specModeName(V.Specs);
+    EXPECT_GT(New.stats().PairQueries.load(), 400u) << specModeName(V.Specs);
+    std::vector<uint64_t> S = statsOf(New.stats());
+    for (size_t I = 0; I != S.size(); ++I)
+      Reached[I] += S[I];
+  }
+  // Across the variants every tier and counter is reached.
+  for (size_t I = 0; I != Reached.size(); ++I)
+    EXPECT_GT(Reached[I], 0u) << "DetectorStats counter #" << I;
 }

@@ -219,7 +219,7 @@ TEST(ExplainTest, AgreesWithOnlineDetector) {
   Rng R(77);
   for (int Iter = 0; Iter != 200; ++Iter) {
     auto RandomLog = [&]() {
-      TxLog Log;
+      stm::LogEntries Log;
       for (int I = 0, E = 1 + static_cast<int>(R.below(3)); I != E; ++I) {
         switch (R.below(3)) {
         case 0:
@@ -234,7 +234,14 @@ TEST(ExplainTest, AgreesWithOnlineDetector) {
           break;
         }
       }
-      return Log;
+      return TxLog(std::move(Log));
+    };
+    // Every entry is on W.Work: a log's sequence there is all of it.
+    auto OpsOf = [](const TxLog &Log) {
+      symbolic::LocOpSeq Ops;
+      for (const LogEntry &E : Log)
+        Ops.push_back(E.Op);
+      return Ops;
     };
     Snapshot S;
     S = S.set(Location(W.Work), Value::of(R.range(0, 3)));
@@ -243,8 +250,7 @@ TEST(ExplainTest, AgreesWithOnlineDetector) {
     auto E = conflict::explainConflict(S, Mine, {Theirs}, W.Reg);
     bool Online = conflict::conflictOnline(
         stm::snapshotValue(S, Location(W.Work)),
-        conflict::decompose(Mine)[Location(W.Work)],
-        conflict::decomposeAll({Theirs})[Location(W.Work)]);
+        OpsOf(Mine), OpsOf(*Theirs));
     EXPECT_EQ(E.Conflicting, Online) << "iteration " << Iter;
   }
 }

@@ -85,17 +85,71 @@ TEST(TxContextTest, LocalWorkAccumulates) {
   EXPECT_DOUBLE_EQ(Tx.virtualCost(), 4.0);
 }
 
-TEST(AccessSetsTest, AddCountsAsReadAndWrite) {
+TEST(TxLogIndexTest, AddCountsAsReadAndWrite) {
   World W;
   TxLog Log{{Location(W.Work), LocOp::add(1)},
             {Location(W.Flag), LocOp::read()},
             {Location(W.Arr, 3), LocOp::write(Value::of(1))}};
-  AccessSets S = accessSets(Log);
-  EXPECT_TRUE(S.Read.count(Location(W.Work)));
-  EXPECT_TRUE(S.Write.count(Location(W.Work)));
-  EXPECT_TRUE(S.Read.count(Location(W.Flag)));
-  EXPECT_FALSE(S.Write.count(Location(W.Flag)));
-  EXPECT_TRUE(S.Write.count(Location(W.Arr, 3)));
+  const TxLog::Run *Work = Log.find(Location(W.Work));
+  const TxLog::Run *Flag = Log.find(Location(W.Flag));
+  const TxLog::Run *Arr = Log.find(Location(W.Arr, 3));
+  ASSERT_TRUE(Work && Flag && Arr);
+  EXPECT_TRUE(Work->Reads);
+  EXPECT_TRUE(Work->Writes);
+  EXPECT_TRUE(Flag->Reads);
+  EXPECT_FALSE(Flag->Writes);
+  EXPECT_FALSE(Arr->Reads);
+  EXPECT_TRUE(Arr->Writes);
+  EXPECT_EQ(Log.find(Location(W.Arr, 4)), nullptr);
+}
+
+TEST(TxLogIndexTest, RunsAreLocationSortedAndKeepProgramOrder) {
+  World W;
+  TxLog Log{{Location(W.Arr, 2), LocOp::add(1)},
+            {Location(W.Arr, 1), LocOp::write(Value::of(7))},
+            {Location(W.Arr, 2), LocOp::add(2)},
+            {Location(W.Arr, 1), LocOp::read()},
+            {Location(W.Arr, 2), LocOp::add(3)}};
+  // Program order is untouched.
+  ASSERT_EQ(Log.size(), 5u);
+  EXPECT_EQ(Log[1].Loc, Location(W.Arr, 1));
+  ASSERT_EQ(Log.runs().size(), 2u);
+  EXPECT_EQ(Log.loc(Log.runs()[0]), Location(W.Arr, 1));
+  EXPECT_EQ(Log.loc(Log.runs()[1]), Location(W.Arr, 2));
+  symbolic::LocOpSeq Ones, Twos;
+  Log.appendOps(Log.runs()[0], Ones);
+  Log.appendOps(Log.runs()[1], Twos);
+  EXPECT_EQ(Ones, (symbolic::LocOpSeq{LocOp::write(Value::of(7)),
+                                      LocOp::read()}));
+  EXPECT_EQ(Twos,
+            (symbolic::LocOpSeq{LocOp::add(1), LocOp::add(2), LocOp::add(3)}));
+}
+
+TEST(TxLogIndexTest, JoinVisitsSharedLocationsInOrder) {
+  World W;
+  TxLog A{{Location(W.Arr, 9), LocOp::read()},
+          {Location(W.Arr, 1), LocOp::read()},
+          {Location(W.Arr, 5), LocOp::read()}};
+  LogEntries Many;
+  for (int64_t K = 0; K != 64; K += 2)
+    Many.push_back({Location(W.Arr, K), LocOp::write(Value::of(K))});
+  Many.push_back({Location(W.Arr, 9), LocOp::read()});
+  TxLog B(std::move(Many));
+  std::vector<Location> Seen;
+  EXPECT_TRUE(joinRuns(A, B, [&](const TxLog::Run &RA, const TxLog::Run &) {
+    Seen.push_back(A.loc(RA));
+    return true;
+  }));
+  EXPECT_EQ(Seen, (std::vector<Location>{Location(W.Arr, 9)}));
+  // The callback stops the join.
+  TxLog C{{Location(W.Arr, 2), LocOp::read()},
+          {Location(W.Arr, 4), LocOp::read()}};
+  int Calls = 0;
+  EXPECT_FALSE(joinRuns(C, B, [&](const TxLog::Run &, const TxLog::Run &) {
+    ++Calls;
+    return false;
+  }));
+  EXPECT_EQ(Calls, 1);
 }
 
 // ---------------------------------------------------------------------------

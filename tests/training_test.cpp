@@ -36,7 +36,7 @@ using stm::TxLog;
 
 TEST(DependenceGraphTest, ChainsPerLocation) {
   ObjectId A{1}, B{2};
-  std::vector<TxLog> Logs = {
+  std::vector<stm::LogEntries> Logs = {
       {{Location(A), LocOp::add(1)}, {Location(B), LocOp::read()}},
       {{Location(A), LocOp::add(-1)}},
   };
@@ -52,7 +52,7 @@ TEST(DependenceGraphTest, ChainsPerLocation) {
 
 TEST(DependenceGraphTest, TaskSubsequencePartitioning) {
   ObjectId A{1};
-  std::vector<TxLog> Logs = {
+  std::vector<stm::LogEntries> Logs = {
       {{Location(A), LocOp::add(2)}, {Location(A), LocOp::add(-2)}},
       {{Location(A), LocOp::add(5)}},
       {{Location(A), LocOp::read()}},
@@ -194,15 +194,16 @@ TEST(TrainerTest, AbstractionGeneralizesAcrossLengths) {
     conflict::SequenceDetectorConfig DCfg;
     DCfg.UseAbstraction = UseAbs;
     conflict::SequenceDetector D(W.Cache, DCfg);
-    TxLog Mine, TheirsLog;
+    stm::LogEntries MineLog, TheirsLog;
     for (int K = 0; K != 5; ++K) {
-      Mine.push_back({Location(W.Work), LocOp::add(9)});
-      Mine.push_back({Location(W.Work), LocOp::add(-9)});
+      MineLog.push_back({Location(W.Work), LocOp::add(9)});
+      MineLog.push_back({Location(W.Work), LocOp::add(-9)});
       TheirsLog.push_back({Location(W.Work), LocOp::add(3)});
       TheirsLog.push_back({Location(W.Work), LocOp::add(-3)});
     }
-    auto Theirs = std::make_shared<const TxLog>(TheirsLog);
-    D.detectConflicts(Snapshot(), Mine, {Theirs}, W.Reg);
+    auto Theirs = std::make_shared<const TxLog>(std::move(TheirsLog));
+    D.detectConflicts(Snapshot(), TxLog(std::move(MineLog)), {Theirs},
+                      W.Reg);
     if (UseAbs) {
       EXPECT_EQ(D.stats().CacheMisses.load(), 0u) << "with abstraction";
     } else {

@@ -14,8 +14,16 @@ its "benchmarks" array is adapted into rows keyed by benchmark name
 with real_time as ns_per_query.
 
 Usage:
-  perfdiff.py BASELINE.json CURRENT.json [--threshold=PCT]
-              [--retry-threshold=DELTA]
+  perfdiff.py BASELINE.json[,MORE.json...] CURRENT.json[,MORE.json...]
+              [--threshold=PCT] [--retry-threshold=DELTA] [--min-ns=NS]
+  perfdiff.py --median-out=OUT.json RUN.json,RUN.json[,...]
+
+Each side may name several runs of the same bench, comma-separated;
+rows are then compared on their per-row medians (ns_per_commit or
+ns_per_query, and the retry ratio), so one noisy run cannot make or
+hide a regression. --median-out writes the per-row median of the given
+runs as one report (the form the committed BENCH_micro_commit.json
+takes); its meta fields are the first run's, plus "runs".
 
 --threshold PCT (default 10): ns_per_commit regressions beyond PCT
 percent are counted and reflected in the exit status.
@@ -42,6 +50,7 @@ Stdlib only; used by tools/ci.sh (perf-smoke stage) and by hand.
 """
 
 import json
+import statistics
 import sys
 
 IDENTITY = ("engine", "detector", "scenario", "ordered", "threads", "shards")
@@ -69,7 +78,56 @@ def load_rows(path):
         if key in out:
             sys.exit(f"perfdiff: {path}: duplicate row identity {key}")
         out[key] = row
-    return doc.get("bench", "?"), out
+    return doc, out
+
+
+def median_rows(paths):
+    """Loads every run in `paths` and reduces each row identity to its
+    median: the median ns figure, and the commit and retry counts of the
+    run whose retry ratio is the median one. Rows missing from some
+    runs take the median of the runs that have them."""
+    docs, runs = [], []
+    for path in paths:
+        doc, rows = load_rows(path)
+        docs.append(doc)
+        runs.append(rows)
+    benches = {d.get("bench", "?") for d in docs}
+    if len(benches) > 1:
+        sys.exit(f"perfdiff: cannot merge different benches {sorted(benches)}")
+    merged = {}
+    for key in {k for rows in runs for k in rows}:
+        have = [rows[key] for rows in runs if key in rows]
+        row = dict(have[0])
+        for field in ("ns_per_commit", "ns_per_query"):
+            vals = [r[field] for r in have
+                    if isinstance(r.get(field), (int, float))]
+            if vals:
+                row[field] = statistics.median(vals)
+        if any("commits" in r for r in have):
+            by_retry = sorted(have, key=retry_ratio)
+            mid = by_retry[(len(by_retry) - 1) // 2]
+            row["commits"] = mid.get("commits")
+            row["retries"] = mid.get("retries")
+        merged[key] = row
+    return docs[0], merged
+
+
+def write_median(paths, out_path):
+    doc, rows = median_rows(paths)
+    if "rows" not in doc:
+        sys.exit("perfdiff: --median-out needs bench-report rows "
+                 "(BenchCommon.h schema)")
+    out = {k: v for k, v in doc.items() if k != "rows"}
+    out["runs"] = len(paths)
+    order = [tuple(r.get(f) for f in IDENTITY) for r in doc["rows"]]
+    order += sorted((k for k in rows if k not in set(order)), key=fmt_key)
+    lines = ",\n".join("    " + json.dumps(rows[k]) for k in order)
+    head = json.dumps(out, indent=2)[:-2]
+    with open(out_path, "w", encoding="utf-8") as f:
+        f.write(head + ',\n  "rows": [\n' + lines + "\n  ]\n}\n")
+    print(f"perfdiff: wrote {out_path} (median of {len(paths)} runs, "
+          f"{len(rows)} rows)")
+    return 0
 
 
 def fmt_key(key):
@@ -91,8 +149,13 @@ def main(argv):
     threshold = 10.0
     retry_threshold = None
     min_ns = 0.0
+    median_out = None
     for a in argv[1:]:
-        if a.startswith("--retry-threshold"):
+        if a.startswith("--median-out"):
+            median_out = a.split("=", 1)[1] if "=" in a else ""
+            if not median_out:
+                sys.exit("perfdiff: bad --median-out=PATH")
+        elif a.startswith("--retry-threshold"):
             try:
                 retry_threshold = float(a.split("=", 1)[1])
             except (IndexError, ValueError):
@@ -107,12 +170,19 @@ def main(argv):
                 threshold = float(a.split("=", 1)[1])
             except (IndexError, ValueError):
                 sys.exit("perfdiff: bad --threshold=PCT")
+    if median_out is not None:
+        if len(args) != 1:
+            print(__doc__.strip(), file=sys.stderr)
+            return 2
+        return write_median(args[0].split(","), median_out)
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
-    base_name, base = load_rows(args[0])
-    cur_name, cur = load_rows(args[1])
+    base_doc, base = median_rows(args[0].split(","))
+    cur_doc, cur = median_rows(args[1].split(","))
+    base_name = base_doc.get("bench", "?")
+    cur_name = cur_doc.get("bench", "?")
     if base_name != cur_name:
         print(f"perfdiff: warning: comparing different benches "
               f"({base_name} vs {cur_name})", file=sys.stderr)
